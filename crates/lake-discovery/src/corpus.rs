@@ -2,9 +2,17 @@
 //! consume.
 //!
 //! Profiling happens once per corpus: every column gets its text domain,
-//! MinHash signature, tokenized name, format patterns, and numeric sample.
+//! MinHash signature, tokenized name, inferred type, row-order numeric
+//! sample and null/uniqueness counts — what every system reads.
 //! Individual systems combine these raw profiles in their own ways
-//! (Table 3's "relatedness criteria").
+//! (Table 3's "relatedness criteria"), and a system that scores column
+//! pairs derives what only it needs from a profile once per (re)profiled
+//! column, next to its other per-profile state, never per pair: D³L its
+//! name 3-grams, format patterns, sorted numeric sample and embedding
+//! (`d3l.rs`), RNLIM its encodings and sorted numeric sample. Keeping
+//! those out of [`ColumnProfile`] keeps profiling — which every system
+//! pays, and whose columnar-vs-row speedup `e19_discovery` gates — free of
+//! work only pair scoring uses.
 
 use lake_core::batch::column_stats;
 use lake_core::par::{self, Parallelism};

@@ -11,14 +11,29 @@
 //! relatedness ground truth, and applies the coefficients of the trained
 //! model as the weight of features."
 //!
-//! The five per-column-pair features (all similarities in `[0, 1]`):
-//! 1. attribute-name similarity (q-gram Jaccard of names),
+//! **Per column**, once per (re)profiled column ([`DiscoverySystem::build`],
+//! [`D3l::rebuild_profiles`]), the intermediate representations: the
+//! distinct 3-grams of the name, the distinct format patterns of the
+//! domain (both ascending), the numeric sample in ascending
+//! `f64::total_cmp` order, and the bag embedding of the domain. The
+//! MinHash signature is the profile's own.
+//!
+//! **Per pair**, [`D3l::features`] only reads two columns' representations
+//! (all similarities in `[0, 1]`):
+//! 1. attribute-name similarity (sorted-merge Jaccard of name 3-grams),
 //! 2. instance-value overlap (MinHash-estimated Jaccard),
 //! 3. embedding similarity (cosine of bag embeddings — word-embedding
 //!    stand-in, see DESIGN.md),
-//! 4. value-format similarity (format-pattern Jaccard / the "regular
-//!    expression" feature),
-//! 5. numeric-distribution similarity (1 − KS statistic).
+//! 4. value-format similarity (sorted-merge Jaccard of format patterns /
+//!    the "regular expression" feature),
+//! 5. numeric-distribution similarity (1 − KS statistic, a two-pointer
+//!    walk over the two sorted samples).
+//!
+//! Bit-equality contract: every feature equals, `to_bits()`-exact, what
+//! `lake_index`'s slice-in functions (`qgram_similarity`,
+//! `format_similarity`, `ks_similarity`) return for the raw column — those
+//! derive the same representation and call the same kernel — so a score
+//! does not depend on when the representation was derived.
 //!
 //! Distance is `sqrt(Σ wᵢ (1 − simᵢ)²)` with weights from a logistic
 //! regression trained on labelled pairs. Experiment E3 ablates each
@@ -29,8 +44,8 @@ use crate::{DiscoverySystem, SystemInfo};
 use lake_core::par::{self, Parallelism};
 use lake_core::stats::cosine;
 use lake_index::embed::HashedNgramEncoder;
-use lake_index::ks::ks_similarity;
-use lake_index::qgram::{format_similarity, qgram_similarity};
+use lake_index::ks::{ks_similarity_sorted, sorted_sample};
+use lake_index::qgram::{format_patterns, qgram_set, sorted_jaccard};
 use lake_ml::logistic::{LogisticConfig, LogisticRegression};
 
 /// Number of similarity features.
@@ -49,7 +64,33 @@ pub struct D3l {
     /// [`DiscoverySystem::build`].
     pub par: Parallelism,
     encoder: HashedNgramEncoder,
-    embeddings: Vec<Vec<f64>>,
+    /// One entry per corpus profile, in profile order.
+    columns: Vec<ColumnFeatures>,
+}
+
+/// What pair scoring reads of one column besides its profile's MinHash
+/// signature. A pure function of the column's profile.
+#[derive(Debug, Clone, Default)]
+struct ColumnFeatures {
+    /// Distinct 3-grams of the name, ascending.
+    name_grams: Vec<String>,
+    /// Distinct format patterns of the domain, ascending.
+    formats: Vec<String>,
+    /// The numeric sample, ascending by `f64::total_cmp`.
+    numeric: Vec<f64>,
+    /// Bag embedding of (the first 64 values of) the domain.
+    embedding: Vec<f64>,
+}
+
+impl ColumnFeatures {
+    fn of(p: &ColumnProfile, encoder: &HashedNgramEncoder) -> ColumnFeatures {
+        ColumnFeatures {
+            name_grams: qgram_set(&p.name, 3),
+            formats: format_patterns(p.domain.iter().map(String::as_str)),
+            numeric: sorted_sample(&p.numeric),
+            embedding: encoder.encode_bag(p.domain.iter().map(String::as_str).take(64)),
+        }
+    }
 }
 
 impl Default for D3l {
@@ -58,7 +99,7 @@ impl Default for D3l {
             weights: [1.0 / NUM_FEATURES as f64; NUM_FEATURES],
             par: Parallelism::default(),
             encoder: HashedNgramEncoder::default(),
-            embeddings: Vec::new(),
+            columns: Vec::new(),
         }
     }
 }
@@ -70,19 +111,23 @@ impl D3l {
         D3l { par, ..D3l::default() }
     }
 
-    /// Compute the 5 similarity features for a column pair.
+    /// The 5 similarity features of a column pair, read from the two
+    /// columns' precomputed representations. All zero for a column this
+    /// system was not built over.
     pub fn features(&self, corpus: &TableCorpus, a: usize, b: usize) -> [f64; NUM_FEATURES] {
-        let pa = &corpus.profiles()[a];
-        let pb = &corpus.profiles()[b];
+        let profiles = corpus.profiles();
+        let (Some(pa), Some(pb)) = (profiles.get(a), profiles.get(b)) else {
+            return [0.0; NUM_FEATURES];
+        };
+        let (Some(fa), Some(fb)) = (self.columns.get(a), self.columns.get(b)) else {
+            return [0.0; NUM_FEATURES];
+        };
         [
-            qgram_similarity(&pa.name, &pb.name, 3),
+            sorted_jaccard(&fa.name_grams, &fb.name_grams),
             pa.jaccard_est(pb),
-            cosine(&self.embeddings[a], &self.embeddings[b]),
-            format_similarity(
-                pa.domain.iter().map(String::as_str),
-                pb.domain.iter().map(String::as_str),
-            ),
-            numeric_feature(pa, pb),
+            cosine(&fa.embedding, &fb.embedding),
+            sorted_jaccard(&fa.formats, &fb.formats),
+            numeric_feature(fa, fb),
         ]
     }
 
@@ -108,39 +153,40 @@ impl D3l {
             return;
         }
         let model = LogisticRegression::fit(&xs, &ys, LogisticConfig::default());
-        let w = model.normalized_weights();
-        for (i, wi) in w.into_iter().enumerate().take(NUM_FEATURES) {
-            self.weights[i] = wi;
+        for (slot, w) in self.weights.iter_mut().zip(model.normalized_weights()) {
+            *slot = w;
         }
     }
 
     /// Restrict to a single feature (weight 1 on `feature`) — E3 ablation.
     pub fn with_single_feature(feature: usize) -> D3l {
-        let mut w = [0.0; NUM_FEATURES];
-        w[feature] = 1.0;
-        D3l { weights: w, ..Default::default() }
+        let mut weights = [0.0; NUM_FEATURES];
+        if let Some(w) = weights.get_mut(feature) {
+            *w = 1.0;
+        }
+        D3l {
+            weights,
+            ..Default::default()
+        }
     }
 
-    /// The per-profile bag embeddings (empty until [`DiscoverySystem::build`]
-    /// or [`D3l::rebuild_profiles`]).
-    pub fn embeddings(&self) -> &[Vec<f64>] {
-        &self.embeddings
+    /// The per-profile bag embeddings, in profile order (none until
+    /// [`DiscoverySystem::build`] or [`D3l::rebuild_profiles`]).
+    pub fn embeddings(&self) -> impl Iterator<Item = &[f64]> {
+        self.columns.iter().map(|c| c.embedding.as_slice())
     }
 
-    /// Re-encode the bag embeddings of just the given profile indices
-    /// (growing the embedding table if the corpus gained profiles) — the
+    /// Re-derive the representations of just the given profile indices
+    /// (resizing to the corpus's profile count first) — the
     /// incremental-maintenance delta matching a [`DiscoverySystem::build`]
-    /// from scratch, since each embedding depends only on its own column.
+    /// from scratch, since each depends only on its own column.
     pub fn rebuild_profiles(&mut self, corpus: &TableCorpus, indices: &[usize]) {
         let profiles = corpus.profiles();
-        if self.embeddings.len() < profiles.len() {
-            self.embeddings.resize(profiles.len(), Vec::new());
-        }
-        self.embeddings.truncate(profiles.len());
+        self.columns
+            .resize(profiles.len(), ColumnFeatures::default());
         for &pi in indices {
-            let Some(p) = profiles.get(pi) else { continue };
-            if let Some(slot) = self.embeddings.get_mut(pi) {
-                *slot = self.encoder.encode_bag(p.domain.iter().map(String::as_str).take(64));
+            if let (Some(p), Some(slot)) = (profiles.get(pi), self.columns.get_mut(pi)) {
+                *slot = ColumnFeatures::of(p, &self.encoder);
             }
         }
     }
@@ -152,11 +198,11 @@ impl D3l {
 /// D³L computes KS only for numerical attributes; for non-numeric pairs
 /// the feature carries no signal, so we return 0 for mixed pairs (type
 /// clash is evidence of unrelatedness) and 0.5 for textual-textual.
-fn numeric_feature(a: &ColumnProfile, b: &ColumnProfile) -> f64 {
+fn numeric_feature(a: &ColumnFeatures, b: &ColumnFeatures) -> f64 {
     let a_num = !a.numeric.is_empty();
     let b_num = !b.numeric.is_empty();
     match (a_num, b_num) {
-        (true, true) => ks_similarity(&a.numeric, &b.numeric),
+        (true, true) => ks_similarity_sorted(&a.numeric, &b.numeric),
         (false, false) => 0.5,
         _ => 0.0,
     }
@@ -182,23 +228,28 @@ impl DiscoverySystem for D3l {
     }
 
     fn build(&mut self, corpus: &TableCorpus) {
-        // Each bag embedding depends only on its own column's domain, so
-        // encoding fans out over workers; `par::map` keeps profile order.
+        // Each column's representations depend only on its own profile,
+        // so deriving them fans out over workers; `par::map` keeps
+        // profile order.
         let encoder = &self.encoder;
-        self.embeddings = par::map(self.par, corpus.profiles(), |p| {
-            encoder.encode_bag(p.domain.iter().map(String::as_str).take(64))
+        self.columns = par::map(self.par, corpus.profiles(), |p| {
+            ColumnFeatures::of(p, encoder)
         });
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
-        let n = corpus.profiles().len();
+        let profiles = corpus.profiles();
         let mut scores = Vec::new();
-        for qp in corpus.table_profiles(query) {
-            let qi = corpus.profile_index(qp.at).expect("profile exists");
-            for b in 0..n {
-                if corpus.profiles()[b].at.table == query {
-                    continue;
-                }
+        for (qi, _) in profiles
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.at.table == query)
+        {
+            for (b, _) in profiles
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.at.table != query)
+            {
                 let feats = self.features(corpus, qi, b);
                 let d = self.distance(&feats);
                 // Convert distance to a similarity score for ranking.
@@ -292,29 +343,31 @@ mod tests {
 
     #[test]
     fn numeric_feature_cases() {
-        let (corpus, _, _) = setup();
+        let (corpus, _, d3l) = setup();
         // price columns are numeric in every table; find two.
-        let nums: Vec<usize> = corpus
-            .profiles()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.numeric.is_empty())
-            .map(|(i, _)| i)
-            .take(2)
-            .collect();
-        let texts: Vec<usize> = corpus
-            .profiles()
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.numeric.is_empty())
-            .map(|(i, _)| i)
-            .take(1)
-            .collect();
-        let pa = &corpus.profiles()[nums[0]];
-        let pb = &corpus.profiles()[nums[1]];
-        assert!(numeric_feature(pa, pb) > 0.5, "same uniform price distribution");
-        let pt = &corpus.profiles()[texts[0]];
-        assert_eq!(numeric_feature(pa, pt), 0.0);
-        assert_eq!(numeric_feature(pt, pt), 0.5);
+        let (nums, texts): (Vec<&ColumnFeatures>, Vec<&ColumnFeatures>) =
+            d3l.columns.iter().partition(|c| !c.numeric.is_empty());
+        assert_eq!(nums.len() + texts.len(), corpus.profiles().len());
+        assert!(
+            numeric_feature(nums[0], nums[1]) > 0.5,
+            "same uniform price distribution"
+        );
+        assert_eq!(numeric_feature(nums[0], texts[0]), 0.0);
+        assert_eq!(numeric_feature(texts[0], texts[0]), 0.5);
+    }
+
+    #[test]
+    fn unknown_columns_score_zero_instead_of_panicking() {
+        let (corpus, _, d3l) = setup();
+        let n = corpus.profiles().len();
+        assert_eq!(d3l.features(&corpus, 0, n), [0.0; NUM_FEATURES]);
+        assert_eq!(D3l::default().features(&corpus, 0, 1), [0.0; NUM_FEATURES]);
+        assert!(D3l::default()
+            .top_k_related(&corpus, corpus.len(), 3)
+            .is_empty());
+        assert_eq!(
+            D3l::with_single_feature(NUM_FEATURES).weights,
+            [0.0; NUM_FEATURES]
+        );
     }
 }

@@ -14,7 +14,9 @@
 //!   state, so the result is byte-identical to a from-scratch rebuild —
 //!   the property `incremental_prop.rs` checks across seeds and worker
 //!   counts),
-//! * the D³L embedding of each changed column is re-encoded in place.
+//! * the D³L representations of each changed column (embedding, name
+//!   3-grams, format patterns, sorted numeric sample) are re-derived in
+//!   place.
 //!
 //! Per-flush cost is O(changed columns), not O(corpus).
 
@@ -113,8 +115,8 @@ impl IncrementalDiscovery {
         Ok(r)
     }
 
-    /// Apply per-profile deltas: remove + re-insert each changed profile
-    /// in both token indexes and re-encode its embedding.
+    /// Apply per-profile deltas: replace each changed profile in both
+    /// token indexes and re-derive its D³L representations.
     fn apply_deltas(&mut self, changed: &[usize]) {
         for &pi in changed {
             let Some(p) = self.corpus.profiles().get(pi) else { continue };
@@ -125,7 +127,7 @@ impl IncrementalDiscovery {
             } else {
                 self.lsh.insert(pi, p.signature.clone());
             }
-            self.inverted.insert_sorted(pi, p.domain.iter().cloned());
+            self.inverted.insert_sorted(pi, &p.domain);
         }
         self.d3l.rebuild_profiles(&self.corpus, changed);
     }
@@ -145,7 +147,7 @@ impl IncrementalDiscovery {
         &self.inverted
     }
 
-    /// The maintained D³L system (current embeddings).
+    /// The maintained D³L system (current per-column representations).
     pub fn d3l(&self) -> &D3l {
         &self.d3l
     }
@@ -186,7 +188,8 @@ mod tests {
     use lake_core::Value;
 
     /// Full structural equality of two states: corpus profiles, LSH
-    /// answers, inverted postings, embeddings (bitwise).
+    /// answers, inverted postings, embeddings and every table's D³L
+    /// top-5 (bitwise).
     fn assert_states_equal(inc: &IncrementalDiscovery, scratch: &IncrementalDiscovery) {
         assert_eq!(inc.corpus().profiles(), scratch.corpus().profiles());
         assert_eq!(inc.lsh().len(), scratch.lsh().len());
@@ -211,11 +214,19 @@ mod tests {
         }
         let bits = |d: &D3l| -> Vec<Vec<u64>> {
             d.embeddings()
-                .iter()
                 .map(|e| e.iter().map(|f| f.to_bits()).collect())
                 .collect()
         };
         assert_eq!(bits(inc.d3l()), bits(scratch.d3l()), "embedding bits");
+        let top5 = |s: &IncrementalDiscovery, q: usize| -> Vec<(usize, u64)> {
+            let top = s.d3l().top_k_related(s.corpus(), q, 5);
+            top.into_iter()
+                .map(|(t, score)| (t, score.to_bits()))
+                .collect()
+        };
+        for q in 0..scratch.corpus().len() {
+            assert_eq!(top5(inc, q), top5(scratch, q), "d3l top-5 of table {q}");
+        }
     }
 
     #[test]
@@ -273,6 +284,44 @@ mod tests {
         assert_eq!(inc.inverted().posting("c"), &[0]);
         let scratch = IncrementalDiscovery::new(vec![t2]);
         assert_states_equal(&inc, &scratch);
+    }
+
+    #[test]
+    fn d3l_answers_follow_a_column_that_grows_shrinks_changes_and_empties() {
+        let lake = generate_lake(&LakeGenConfig::default());
+        let version = |rows: Vec<(Value, Value)>| {
+            let rows = rows
+                .into_iter()
+                .map(|(code, amount)| vec![code, amount])
+                .collect();
+            Table::from_rows("late_arrival", &["code", "amount"], rows).unwrap()
+        };
+        let coded = |n: i64| {
+            (0..n)
+                .map(|i| (Value::str(format!("c{i}")), Value::Float(i as f64)))
+                .collect()
+        };
+        let versions = [
+            version(coded(3)),
+            // Grown, shrunk, then every value, format and type replaced.
+            version(coded(40)),
+            version(coded(2)),
+            version(vec![
+                (Value::Int(7), Value::str("06-1234")),
+                (Value::Int(9), Value::str("n/a")),
+            ]),
+            // All-null: both columns leave LSH and lose their samples.
+            version(vec![(Value::Null, Value::Null), (Value::Null, Value::Null)]),
+            version(coded(5)),
+        ];
+        let par = Parallelism::sequential();
+        let mut inc = IncrementalDiscovery::with_parallelism(lake.tables.clone(), par);
+        for v in versions {
+            inc.upsert_table(v.clone()).unwrap();
+            let mut finals = lake.tables.clone();
+            finals.push(v);
+            assert_states_equal(&inc, &IncrementalDiscovery::with_parallelism(finals, par));
+        }
     }
 
     #[test]

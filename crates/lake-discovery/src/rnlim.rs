@@ -23,7 +23,7 @@ use crate::corpus::TableCorpus;
 use crate::{DiscoverySystem, SystemInfo};
 use lake_core::stats::cosine;
 use lake_index::embed::HashedNgramEncoder;
-use lake_index::ks::ks_similarity;
+use lake_index::ks::{ks_similarity_sorted, sorted_sample};
 use lake_ml::logistic::{LogisticConfig, LogisticRegression};
 
 /// The RNLIM system.
@@ -33,6 +33,8 @@ pub struct Rnlim {
     name_vecs: Vec<Vec<f64>>,
     table_vecs: Vec<Vec<f64>>,
     value_vecs: Vec<Vec<f64>>,
+    /// Per profile, the numeric sample in the order the KS kernel walks.
+    numeric_sorted: Vec<Vec<f64>>,
     model: Option<LogisticRegression>,
 }
 
@@ -45,8 +47,9 @@ impl Rnlim {
         let pa = &corpus.profiles()[a];
         let pb = &corpus.profiles()[b];
         let type_match = f64::from(pa.dtype == pb.dtype);
-        let domain = match (!pa.numeric.is_empty(), !pb.numeric.is_empty()) {
-            (true, true) => ks_similarity(&pa.numeric, &pb.numeric),
+        let (na, nb) = (&self.numeric_sorted[a], &self.numeric_sorted[b]);
+        let domain = match (!na.is_empty(), !nb.is_empty()) {
+            (true, true) => ks_similarity_sorted(na, nb),
             (false, false) => cosine(&self.value_vecs[a], &self.value_vecs[b]),
             _ => 0.0,
         };
@@ -114,16 +117,26 @@ impl DiscoverySystem for Rnlim {
             .iter()
             .map(|p| self.encoder.encode_bag(p.domain.iter().map(String::as_str).take(32)))
             .collect();
+        self.numeric_sorted = corpus
+            .profiles()
+            .iter()
+            .map(|p| sorted_sample(&p.numeric))
+            .collect();
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
+        let profiles = corpus.profiles();
         let mut scores = Vec::new();
-        for qp in corpus.table_profiles(query) {
-            let qi = corpus.profile_index(qp.at).expect("exists");
-            for b in 0..corpus.profiles().len() {
-                if corpus.profiles()[b].at.table == query {
-                    continue;
-                }
+        for (qi, _) in profiles
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.at.table == query)
+        {
+            for (b, _) in profiles
+                .iter()
+                .enumerate()
+                .filter(|(_, p)| p.at.table != query)
+            {
                 scores.push((b, self.relatedness(corpus, qi, b)));
             }
         }

@@ -1,8 +1,9 @@
 //! Property tests for incremental index maintenance: absorbing any number
 //! of [`StreamIngestor`] flushes delta-by-delta leaves every discovery
 //! index — corpus profiles, LSH buckets, inverted postings, D³L
-//! embeddings — **byte-identical** to a from-scratch build over the final
-//! table set, for any stream content and any worker count.
+//! embeddings and top-k answers — **byte-identical** to a from-scratch
+//! build over the final table set, for any stream content and any worker
+//! count.
 //!
 //! A fixed matrix of seeds (7 / 42 / 1337) × worker counts (1 / 2 / 4)
 //! runs as a deterministic regression grid; a proptest sweeps random
@@ -11,12 +12,13 @@
 use lake_core::par::Parallelism;
 use lake_core::synth::{generate_lake, LakeGenConfig};
 use lake_core::{Table, Value};
-use lake_discovery::IncrementalDiscovery;
+use lake_discovery::{DiscoverySystem, IncrementalDiscovery};
 use lake_ingest::stream::StreamIngestor;
 use proptest::prelude::*;
 
 /// Full structural equality through the public accessors: profiles, LSH
-/// answers and signatures, inverted postings, embedding bits.
+/// answers and signatures, inverted postings, embedding bits, and every
+/// table's D³L top-5 (table ids and score bits).
 fn assert_states_equal(inc: &IncrementalDiscovery, scratch: &IncrementalDiscovery) {
     assert_eq!(inc.corpus().profiles(), scratch.corpus().profiles());
     assert_eq!(inc.lsh().len(), scratch.lsh().len());
@@ -36,9 +38,20 @@ fn assert_states_equal(inc: &IncrementalDiscovery, scratch: &IncrementalDiscover
         }
     }
     let bits = |d: &lake_discovery::d3l::D3l| -> Vec<Vec<u64>> {
-        d.embeddings().iter().map(|e| e.iter().map(|f| f.to_bits()).collect()).collect()
+        d.embeddings()
+            .map(|e| e.iter().map(|f| f.to_bits()).collect())
+            .collect()
     };
     assert_eq!(bits(inc.d3l()), bits(scratch.d3l()), "embedding bits");
+    let top5 = |s: &IncrementalDiscovery, q: usize| -> Vec<(usize, u64)> {
+        let top = s.d3l().top_k_related(s.corpus(), q, 5);
+        top.into_iter()
+            .map(|(t, score)| (t, score.to_bits()))
+            .collect()
+    };
+    for q in 0..scratch.corpus().len() {
+        assert_eq!(top5(inc, q), top5(scratch, q), "d3l top-5 of table {q}");
+    }
 }
 
 /// splitmix64 — deterministic row content from a seed.

@@ -38,23 +38,48 @@ impl InvertedIndex {
     /// domain (column profiles), skipping the re-sort/dedup. Tokens that
     /// are out of order or duplicated are dropped rather than corrupting
     /// the postings invariant.
-    pub fn insert_sorted(&mut self, id: usize, tokens: impl IntoIterator<Item = String>) {
-        if self.sets.contains_key(&id) {
-            self.remove(id);
-        }
-        let mut distinct: Vec<String> = Vec::new();
+    ///
+    /// Replacing an existing set applies the sorted diff of its old and
+    /// new token lists: postings are touched only for tokens that left or
+    /// arrived, and a token that stayed keeps its allocation. The state
+    /// reached is the one a [`InvertedIndex::remove`] and fresh insert
+    /// would reach.
+    pub fn insert_sorted<T>(&mut self, id: usize, tokens: impl IntoIterator<Item = T>)
+    where
+        T: AsRef<str> + Into<String>,
+    {
+        let mut old = self
+            .sets
+            .remove(&id)
+            .unwrap_or_default()
+            .into_iter()
+            .peekable();
+        let mut distinct: Vec<String> = Vec::with_capacity(old.len());
+        // Positions in `distinct` of the tokens the old set did not hold.
+        let mut arrived: Vec<usize> = Vec::new();
         for tok in tokens {
-            match distinct.last() {
-                Some(prev) if *prev >= tok => continue,
-                _ => distinct.push(tok),
+            let new = tok.as_ref();
+            if distinct.last().is_some_and(|prev| prev.as_str() >= new) {
+                continue;
+            }
+            while let Some(left) = old.next_if(|o| o.as_str() < new) {
+                self.unpost(&left, id);
+            }
+            match old.next_if(|o| o.as_str() == new) {
+                Some(stayed) => distinct.push(stayed),
+                None => {
+                    arrived.push(distinct.len());
+                    distinct.push(tok.into());
+                }
             }
         }
-        for tok in &distinct {
-            let list = self.postings.entry(tok.clone()).or_default();
-            match list.binary_search(&id) {
-                Ok(_) => {}
-                Err(pos) => list.insert(pos, id),
-            }
+        for left in old {
+            self.unpost(&left, id);
+        }
+        // Posting keys are cloned after the set's own tokens, so each
+        // group stays contiguous on the heap for `merge` to walk.
+        for tok in arrived.into_iter().filter_map(|at| distinct.get(at)) {
+            self.post(tok, id);
         }
         self.set_sizes.insert(id, distinct.len());
         self.sets.insert(id, distinct);
@@ -75,11 +100,7 @@ impl InvertedIndex {
                 self.remove(id);
             }
             for tok in &tokens {
-                let list = self.postings.entry(tok.clone()).or_default();
-                match list.binary_search(&id) {
-                    Ok(_) => {}
-                    Err(pos) => list.insert(pos, id),
-                }
+                self.post(tok, id);
             }
             self.set_sizes.insert(id, tokens.len());
             self.sets.insert(id, tokens);
@@ -91,13 +112,26 @@ impl InvertedIndex {
         let Some(tokens) = self.sets.remove(&id) else { return };
         self.set_sizes.remove(&id);
         for tok in tokens {
-            if let Some(list) = self.postings.get_mut(&tok) {
-                if let Ok(pos) = list.binary_search(&id) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.postings.remove(&tok);
-                }
+            self.unpost(&tok, id);
+        }
+    }
+
+    /// Add `id` to the posting list of `tok`.
+    fn post(&mut self, tok: &str, id: usize) {
+        let list = self.postings.entry(tok.to_owned()).or_default();
+        if let Err(pos) = list.binary_search(&id) {
+            list.insert(pos, id);
+        }
+    }
+
+    /// Take `id` off the posting list of `tok`, dropping an emptied list.
+    fn unpost(&mut self, tok: &str, id: usize) {
+        if let Some(list) = self.postings.get_mut(tok) {
+            if let Ok(pos) = list.binary_search(&id) {
+                list.remove(pos);
+            }
+            if list.is_empty() {
+                self.postings.remove(tok);
             }
         }
     }
@@ -166,7 +200,7 @@ impl InvertedIndex {
 }
 
 /// Sorted-merge intersection count of two ascending token sequences.
-fn merge_overlap<'a>(query: impl Iterator<Item = &'a str>, set: &[String]) -> usize {
+pub(crate) fn merge_overlap<'a>(query: impl Iterator<Item = &'a str>, set: &[String]) -> usize {
     let mut it = set.iter();
     let mut cur = it.next();
     let mut n = 0;
@@ -239,6 +273,33 @@ mod tests {
         let mut bad = InvertedIndex::new();
         bad.insert_sorted(2, toks(&["b", "a", "b", "c"]));
         assert_eq!(bad.set_tokens(2), &["b", "c"]);
+    }
+
+    #[test]
+    fn replacing_a_set_matches_remove_and_fresh_insert() {
+        // Grow, shrink, disjoint replacement, emptying, and borrowed tokens.
+        let versions: [&[&str]; 6] = [
+            &["b", "c", "d"],
+            &["a", "b", "d", "e"],
+            &["d"],
+            &["x", "y"],
+            &[],
+            &["b", "c"],
+        ];
+        let mut diffed = index();
+        for v in versions {
+            diffed.insert_sorted(2, v.iter().copied());
+            let mut fresh = index();
+            fresh.remove(2);
+            fresh.insert_sorted(2, toks(v));
+            assert_eq!(diffed.set_tokens(2), fresh.set_tokens(2), "{v:?}");
+            assert_eq!(diffed.set_size(2), fresh.set_size(2));
+            assert_eq!(diffed.num_sets(), fresh.num_sets());
+            assert_eq!(diffed.num_tokens(), fresh.num_tokens(), "{v:?}");
+            for t in ["a", "b", "c", "d", "e", "x", "y"] {
+                assert_eq!(diffed.posting(t), fresh.posting(t), "{t} after {v:?}");
+            }
+        }
     }
 
     #[test]

@@ -5,21 +5,42 @@
 //! maximum vertical distance between the two empirical CDFs; similarity is
 //! `1 - D`, so identically distributed samples score near 1.
 
+/// A sample in the ascending (`f64::total_cmp`) order the sorted kernel
+/// walks. The order is total, so the result depends only on the multiset
+/// of bit patterns in `values`, never on their input order.
+pub fn sorted_sample(values: &[f64]) -> Vec<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable_by(f64::total_cmp);
+    sorted
+}
+
 /// The two-sample KS statistic `D ∈ [0, 1]`. Returns 1.0 (maximal
 /// difference) when either sample is empty.
 pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-    if a.is_empty() || b.is_empty() {
+    ks_statistic_sorted(&sorted_sample(a), &sorted_sample(b))
+}
+
+/// [`ks_statistic`] of two samples already in [`sorted_sample`] order —
+/// the kernel callers holding per-column sorted samples use per pair.
+pub fn ks_statistic_sorted(sa: &[f64], sb: &[f64]) -> f64 {
+    if sa.is_empty() || sb.is_empty() {
         return 1.0;
     }
-    let mut sa: Vec<f64> = a.to_vec();
-    let mut sb: Vec<f64> = b.to_vec();
-    sa.sort_by(f64::total_cmp);
-    sb.sort_by(f64::total_cmp);
     let (na, nb) = (sa.len() as f64, sb.len() as f64);
     let (mut i, mut j) = (0usize, 0usize);
     let mut d: f64 = 0.0;
     while i < sa.len() && j < sb.len() {
         let x = sa[i].min(sb[j]);
+        if x.is_nan() {
+            // Both cursors sit on a NaN, which `<=` never passes: step
+            // over both runs as one tie so the walk terminates.
+            while i < sa.len() && sa[i].is_nan() {
+                i += 1;
+            }
+            while j < sb.len() && sb[j].is_nan() {
+                j += 1;
+            }
+        }
         while i < sa.len() && sa[i] <= x {
             i += 1;
         }
@@ -36,6 +57,11 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
 /// Distribution similarity `1 - D` used as a discovery feature.
 pub fn ks_similarity(a: &[f64], b: &[f64]) -> f64 {
     1.0 - ks_statistic(a, b)
+}
+
+/// [`ks_similarity`] of two samples already in [`sorted_sample`] order.
+pub fn ks_similarity_sorted(sa: &[f64], sb: &[f64]) -> f64 {
+    1.0 - ks_statistic_sorted(sa, sb)
 }
 
 #[cfg(test)]
@@ -78,6 +104,32 @@ mod tests {
         assert_eq!(ks_statistic(&[], &[1.0]), 1.0);
         assert_eq!(ks_statistic(&[1.0], &[]), 1.0);
         assert_eq!(ks_statistic(&[], &[]), 1.0);
+    }
+
+    #[test]
+    fn nan_in_both_samples_terminates() {
+        let a = [f64::NAN, 1.0, 2.0];
+        assert!(ks_statistic(&a, &a) < 1e-12);
+        assert!(ks_statistic(&a, &[-f64::NAN, 5.0, f64::NAN]) <= 1.0);
+        assert_eq!(ks_statistic(&[f64::NAN], &[f64::NAN]), 0.0);
+    }
+
+    #[test]
+    fn sorted_kernel_ignores_input_order_and_zero_sign() {
+        let a = [3.0, -0.0, 0.0, 1.5, 3.0];
+        let b = [0.0, 2.0, -0.0, 7.0];
+        let mut rev = a;
+        rev.reverse();
+        let d = ks_statistic(&a, &b);
+        assert_eq!(d.to_bits(), ks_statistic(&rev, &b).to_bits());
+        assert_eq!(
+            d.to_bits(),
+            ks_statistic_sorted(&sorted_sample(&a), &sorted_sample(&b)).to_bits()
+        );
+        assert_eq!(
+            ks_similarity_sorted(&sorted_sample(&a), &sorted_sample(&b)),
+            1.0 - d
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! (digits → `9`, letters → `a`) so columns with the same value shape
 //! compare as similar even with disjoint values.
 
-use lake_core::stats::jaccard;
-use std::collections::HashSet;
+use crate::inverted::merge_overlap;
+use lake_core::stats::jaccard_from_counts;
 
 /// The character q-grams of `s` (padded with `#` at both ends so short
 /// strings still produce grams).
@@ -24,9 +24,25 @@ pub fn qgrams(s: &str, q: usize) -> Vec<String> {
     padded.windows(q).map(|w| w.iter().collect()).collect()
 }
 
+/// The distinct q-grams of `s`, ascending — the per-string input of
+/// [`sorted_jaccard`].
+pub fn qgram_set(s: &str, q: usize) -> Vec<String> {
+    let mut grams = qgrams(s, q);
+    grams.sort_unstable();
+    grams.dedup();
+    grams
+}
+
+/// Jaccard similarity of two **ascending, distinct** string lists by a
+/// sorted merge (0 when both are empty).
+pub fn sorted_jaccard(a: &[String], b: &[String]) -> f64 {
+    let inter = merge_overlap(a.iter().map(String::as_str), b);
+    jaccard_from_counts(a.len(), b.len(), inter)
+}
+
 /// Jaccard similarity of the q-gram sets of two strings.
 pub fn qgram_similarity(a: &str, b: &str, q: usize) -> f64 {
-    jaccard(&qgrams(a, q), &qgrams(b, q))
+    sorted_jaccard(&qgram_set(a, q), &qgram_set(b, q))
 }
 
 /// Abstract a value into its *format pattern*: digits → `9`, letters →
@@ -34,6 +50,12 @@ pub fn qgram_similarity(a: &str, b: &str, q: usize) -> f64 {
 /// `+` suffix. `"+31-15-278"` → `"+9+-9+-9+"`, `"ab12"` → `"a+9+"`.
 pub fn format_pattern(s: &str) -> String {
     let mut out = String::new();
+    write_format_pattern(s, &mut out);
+    out
+}
+
+/// Append the [`format_pattern`] of `s` to `out`.
+fn write_format_pattern(s: &str, out: &mut String) {
     let mut last: Option<char> = None;
     let mut run = 0usize;
     let flush = |out: &mut String, c: Option<char>, run: usize| {
@@ -57,13 +79,39 @@ pub fn format_pattern(s: &str) -> String {
         if Some(class) == last {
             run += 1;
         } else {
-            flush(&mut out, last, run);
+            flush(out, last, run);
             last = Some(class);
             run = 1;
         }
     }
-    flush(&mut out, last, run);
-    out
+    flush(out, last, run);
+}
+
+/// The distinct format patterns observed in a column's values, ascending
+/// — the per-column input of [`sorted_jaccard`]. Columns hold thousands of
+/// values but a handful of shapes, so a value allocates only when its
+/// pattern is new.
+pub fn format_patterns<'a>(values: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    let mut patterns: Vec<String> = Vec::new();
+    let mut pattern = String::new();
+    // Neighbours in a sorted domain mostly share a shape: try the
+    // previous value's pattern before searching.
+    let mut previous = 0;
+    for value in values {
+        pattern.clear();
+        write_format_pattern(value, &mut pattern);
+        if patterns.get(previous) == Some(&pattern) {
+            continue;
+        }
+        previous = match patterns.binary_search(&pattern) {
+            Ok(at) => at,
+            Err(at) => {
+                patterns.insert(at, pattern.clone());
+                at
+            }
+        };
+    }
+    patterns
 }
 
 /// Similarity of two columns' value formats: Jaccard over the sets of
@@ -72,13 +120,7 @@ pub fn format_similarity<'a>(
     a: impl IntoIterator<Item = &'a str>,
     b: impl IntoIterator<Item = &'a str>,
 ) -> f64 {
-    let pa: HashSet<String> = a.into_iter().map(format_pattern).collect();
-    let pb: HashSet<String> = b.into_iter().map(format_pattern).collect();
-    if pa.is_empty() || pb.is_empty() {
-        return 0.0;
-    }
-    let inter = pa.intersection(&pb).count();
-    inter as f64 / (pa.len() + pb.len() - inter) as f64
+    sorted_jaccard(&format_patterns(a), &format_patterns(b))
 }
 
 #[cfg(test)]
@@ -100,6 +142,20 @@ mod tests {
         assert!(near > 0.6, "{near}");
         assert!(far < 0.2, "{far}");
         assert_eq!(qgram_similarity("same", "same", 2), 1.0);
+    }
+
+    #[test]
+    fn sets_are_sorted_and_distinct() {
+        assert_eq!(qgram_set("aaa", 2), vec!["#a", "a#", "aa"]);
+        assert_eq!(
+            format_patterns(["b1", "07-55", "a2", "01-00", ""]),
+            vec!["", "9+-9+", "a9"]
+        );
+        assert!(format_patterns([]).is_empty());
+        let (a, b) = (qgram_set("customer", 3), qgram_set("customers", 3));
+        assert_eq!(sorted_jaccard(&a, &b), 8.0 / 13.0);
+        assert_eq!(sorted_jaccard(&a, &[]), 0.0);
+        assert_eq!(sorted_jaccard(&[], &[]), 0.0);
     }
 
     #[test]

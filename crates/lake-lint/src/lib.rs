@@ -156,9 +156,11 @@ impl fmt::Display for Finding {
 /// and lake-sched, whose event loop must drain every schedule it is handed.
 /// The columnar execution spine is covered file-by-file: the dictionary
 /// batch kernels, the parquet-lite codec, and incremental index
-/// maintenance all run inside every profiling/ingest hot loop.
+/// maintenance all run inside every profiling/ingest hot loop, and D³L's
+/// per-column state is rebuilt on that maintenance path.
 pub const HOT_PATHS: &[&str] = &[
     "crates/lake-core/src/batch.rs",
+    "crates/lake-discovery/src/d3l.rs",
     "crates/lake-discovery/src/incremental.rs",
     "crates/lake-formats/src/columnar.rs",
     "crates/lake-house/src/",

@@ -13,9 +13,6 @@
 //! | `table3` | Table 3 — related-dataset-discovery comparison (+measured) |
 //! | `fig2_pipeline` | Fig. 2 — per-tier end-to-end trace |
 //! | `e1_lsh_scaling` … `e12_alite` | experiments E1–E12 |
-//!
-//! Criterion benches cover the performance-sensitive claims (E1, E2, E5,
-//! E9, E10).
 
 pub mod trajectory;
 

@@ -20,21 +20,11 @@ use crate::obs::HouseMetrics;
 use lake_core::retry::{retry_with_stats, Clock, RetryPolicy, RetryStats, SystemClock};
 use lake_core::{Json, LakeError, Result};
 use lake_formats::json as jsonfmt;
+use lake_store::durable::checksum_hex;
 use lake_store::object::ObjectStore;
 use lake_core::sync::{rank, OrderedMutex};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// FNV-1a 64-bit, the checksum guarding each log entry against torn or
-/// corrupted writes. Rendered as 16 hex digits in the entry's `crc` field.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Parse and integrity-check one serialized log entry. Entries written
 /// before checksums existed (no `crc` field) are accepted; a present but
@@ -46,8 +36,7 @@ pub(crate) fn validate_entry(bytes: &[u8]) -> Result<Vec<Action>> {
         .and_then(Json::as_array)
         .ok_or_else(|| LakeError::parse("log entry lacks actions"))?;
     if let Some(stored) = doc.get("crc").and_then(Json::as_str) {
-        let computed =
-            format!("{:016x}", fnv1a64(Json::Array(actions.to_vec()).to_string().as_bytes()));
+        let computed = checksum_hex(Json::Array(actions.to_vec()).to_string().as_bytes());
         if stored != computed {
             return Err(LakeError::parse(format!(
                 "log entry checksum mismatch (stored {stored}, computed {computed})"
@@ -299,22 +288,21 @@ impl<'a> TxnLog<'a> {
         format!("{}/_log/checkpoint-{version:020}.json", self.prefix)
     }
 
+    /// The versions of the `_log/` objects named `<stem><version>.json`:
+    /// `stem` is `""` for commit entries, `"checkpoint-"` for checkpoints.
+    /// The one place `_log/` keys are parsed — anything else under the
+    /// directory (`quarantine/<v>.corrupt`, the other stem) fails the
+    /// parse and is skipped.
+    pub(crate) fn log_versions(&self, stem: &str) -> impl Iterator<Item = u64> {
+        let dir = format!("{}/_log/{stem}", self.prefix);
+        self.store.list(&dir).into_iter().filter_map(move |k| {
+            k.strip_prefix(&dir)?.strip_suffix(".json")?.parse::<u64>().ok()
+        })
+    }
+
     /// Latest committed version (0 when the log is empty).
     pub fn latest_version(&self) -> u64 {
-        self.store
-            .list(&format!("{}/_log/", self.prefix))
-            .into_iter()
-            .filter_map(|k| {
-                let name = k.rsplit('/').next()?;
-                let digits = name.strip_suffix(".json")?;
-                if digits.starts_with("checkpoint-") {
-                    None
-                } else {
-                    digits.parse::<u64>().ok()
-                }
-            })
-            .max()
-            .unwrap_or(0)
+        self.log_versions("").max().unwrap_or(0)
     }
 
     pub(crate) fn read_entry(&self, version: u64) -> Result<Vec<Action>> {
@@ -336,22 +324,7 @@ impl<'a> TxnLog<'a> {
     }
 
     fn latest_checkpoint_at_or_before(&self, version: u64) -> Option<Snapshot> {
-        let keys = self.store.list(&format!("{}/_log/checkpoint-", self.prefix));
-        let mut best: Option<u64> = None;
-        for k in keys {
-            if let Some(v) = k
-                .rsplit('/')
-                .next()
-                .and_then(|n| n.strip_prefix("checkpoint-"))
-                .and_then(|n| n.strip_suffix(".json"))
-                .and_then(|d| d.parse::<u64>().ok())
-            {
-                if v <= version && best.map_or(true, |b| v > b) {
-                    best = Some(v);
-                }
-            }
-        }
-        let v = best?;
+        let v = self.log_versions("checkpoint-").filter(|&v| v <= version).max()?;
         let key = self.checkpoint_key(v);
         let bytes = self.run_retry(|| self.store.get(&key)).ok()?;
         let doc = jsonfmt::parse(&String::from_utf8_lossy(&bytes)).ok()?;
@@ -381,7 +354,7 @@ impl<'a> TxnLog<'a> {
     pub fn try_commit(&self, base_version: u64, actions: &[Action]) -> Result<u64> {
         let next = base_version + 1;
         let actions_json = Json::Array(actions.iter().map(Action::to_json).collect());
-        let crc = format!("{:016x}", fnv1a64(actions_json.to_string().as_bytes()));
+        let crc = checksum_hex(actions_json.to_string().as_bytes());
         let doc = Json::obj(vec![("actions", actions_json), ("crc", Json::str(crc))]);
         let key = self.entry_key(next);
         let payload = doc.to_string();

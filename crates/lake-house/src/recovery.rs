@@ -52,39 +52,14 @@ impl<'a> TxnLog<'a> {
     /// All committed entry versions, ascending (checkpoints and
     /// quarantined entries excluded).
     fn entry_versions(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .store
-            .list(&format!("{}/_log/", self.prefix))
-            .into_iter()
-            .filter(|k| !k.contains("/_log/quarantine/"))
-            .filter_map(|k| {
-                let name = k.rsplit('/').next()?;
-                let digits = name.strip_suffix(".json")?;
-                if digits.starts_with("checkpoint-") {
-                    None
-                } else {
-                    digits.parse::<u64>().ok()
-                }
-            })
-            .collect();
+        let mut out: Vec<u64> = self.log_versions("").collect();
         out.sort_unstable();
         out
     }
 
     /// All checkpoint versions, ascending.
     fn checkpoint_versions(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .store
-            .list(&format!("{}/_log/checkpoint-", self.prefix))
-            .into_iter()
-            .filter_map(|k| {
-                k.rsplit('/')
-                    .next()
-                    .and_then(|n| n.strip_prefix("checkpoint-"))
-                    .and_then(|n| n.strip_suffix(".json"))
-                    .and_then(|d| d.parse::<u64>().ok())
-            })
-            .collect();
+        let mut out: Vec<u64> = self.log_versions("checkpoint-").collect();
         out.sort_unstable();
         out
     }

@@ -15,6 +15,7 @@
 //! flaky backend.
 
 use lake_core::retry::Clock;
+use lake_core::value::fnv1a;
 use lake_core::{LakeError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -178,7 +179,9 @@ impl FaultSource {
                 // Per-call derived stream: deterministic regardless of
                 // interleaving with other locations.
                 let mut rng = StdRng::seed_from_u64(
-                    self.seed ^ call.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ fnv(location),
+                    self.seed
+                        ^ call.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ fnv1a(location.as_bytes()),
                 );
                 if rng.random_range(0.0..1.0) < plan.transient_probability {
                     st.stats.transients += 1;
@@ -213,16 +216,6 @@ enum Verdict {
     Proceed,
     Transient,
     Hard,
-}
-
-/// FNV-1a 64 over the location name, to decorrelate per-location streams.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

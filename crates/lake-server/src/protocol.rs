@@ -419,12 +419,14 @@ pub fn write_json(stream: &mut TcpStream, j: &Json) -> Result<()> {
 
 /// Read and parse one JSON frame; `Ok(None)` on clean close.
 pub fn read_json(stream: &mut TcpStream, max_frame: usize) -> Result<Option<Json>> {
-    let Some(payload) = read_frame(stream, max_frame)? else {
-        return Ok(None);
-    };
-    let text = std::str::from_utf8(&payload)
+    read_frame(stream, max_frame)?.map(|payload| payload_json(&payload)).transpose()
+}
+
+/// Parse one frame payload as JSON.
+pub(crate) fn payload_json(payload: &[u8]) -> Result<Json> {
+    let text = std::str::from_utf8(payload)
         .map_err(|_| LakeError::parse("frame payload is not UTF-8"))?;
-    lake_formats::json::parse(text).map(Some)
+    lake_formats::json::parse(text)
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {

@@ -25,9 +25,9 @@ use crate::protocol::{
     DEFAULT_MAX_FRAME_BYTES,
 };
 use crate::tenant::Tenants;
-use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalOp, WalRecord};
+use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalOp};
 use lake_core::retry::Clock;
-use lake_core::{CrashPoint, CrashSwitch, Json, LakeError, Parallelism, Result};
+use lake_core::{CrashPoint, CrashSwitch, Dataset, Json, LakeError, Parallelism, Result};
 use lake_obs::{MetricsRegistry, MICROS_TO_SECONDS};
 use lake_query::degrade::Admission;
 use lake_query::{BreakerConfig, QuotaConfig, QuotaDecision};
@@ -375,8 +375,12 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     if stream.set_read_timeout(read_t).is_err() || stream.set_write_timeout(write_t).is_err() {
         return;
     }
-    let frame = match protocol::read_json(&mut stream, shared.cfg.max_frame_bytes) {
-        Ok(Some(j)) => j,
+    // A request is priced and charged by the payload bytes it sent.
+    let read = protocol::read_frame(&mut stream, shared.cfg.max_frame_bytes).and_then(|payload| {
+        payload.map(|p| Ok((protocol::payload_json(&p)?, p.len() as u64))).transpose()
+    });
+    let (frame, frame_bytes) = match read {
+        Ok(Some(parsed)) => parsed,
         // Clean close before a request: nothing to answer.
         Ok(None) => return,
         Err(e) => {
@@ -395,7 +399,6 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             return;
         }
     };
-    let frame_bytes = frame.to_string().len() as u64;
     let (verb_label, resp) = match Request::from_json(&frame) {
         Ok(req) => {
             let label = req.verb.name();
@@ -495,18 +498,7 @@ fn execute(shared: &Shared, req: &Request) -> Result<Json> {
             // Validate *before* journaling: a malformed body must never
             // reach the journal (replay assumes every frame applies).
             let dataset = dataset_from_body(&req.kind, &req.body)?;
-            if shared.wal.is_some() {
-                return durable_mutation(shared, req, WalOp::Put);
-            }
-            let kind = dataset.kind().name();
-            let id = shared.tenants.assign(&req.tenant, &req.name);
-            let scoped = Tenants::scoped(&req.tenant, &req.name);
-            let placement = shared.store.store(id, &scoped, dataset)?;
-            Ok(Json::obj(vec![
-                ("id", Json::Num(id.0 as f64)),
-                ("kind", Json::str(kind)),
-                ("store", Json::str(placement.store.name())),
-            ]))
+            mutate(shared, req, Some(dataset))
         }
         Verb::Get => {
             let id = shared
@@ -519,16 +511,10 @@ fn execute(shared: &Shared, req: &Request) -> Result<Json> {
         Verb::Del => {
             // Existence check before journaling: a del of a missing name
             // answers NotFound without ever touching the journal.
-            let id = shared
-                .tenants
-                .lookup(&req.tenant, &req.name)
-                .ok_or_else(|| LakeError::not_found(format!("{}/{}", req.tenant, req.name)))?;
-            if shared.wal.is_some() {
-                return durable_mutation(shared, req, WalOp::Del);
+            if shared.tenants.lookup(&req.tenant, &req.name).is_none() {
+                return Err(LakeError::not_found(format!("{}/{}", req.tenant, req.name)));
             }
-            shared.store.remove(id)?;
-            shared.tenants.remove_name(&req.tenant, &req.name);
-            Ok(Json::obj(vec![("deleted", Json::str(req.name.clone()))]))
+            mutate(shared, req, None)
         }
         Verb::List => {
             let names = shared.tenants.list(&req.tenant);
@@ -569,36 +555,35 @@ fn execute(shared: &Shared, req: &Request) -> Result<Json> {
     }
 }
 
-/// The durable write path: journal (fsynced) → apply → advance the
-/// watermark → maybe rotate — with a crash point armed at every edge.
-/// The 200 is written by `handle_connection` strictly after this
-/// returns, so an acknowledged mutation is always journaled.
-fn durable_mutation(shared: &Shared, req: &Request, op: WalOp) -> Result<Json> {
-    let Some(wal) = &shared.wal else {
-        return Err(LakeError::invalid("durable_mutation without a wal"));
+/// The one write path, for a validated put (`Some(dataset)`) or del
+/// (`None`): journal (fsynced) when a WAL is configured → [`wal::apply`]
+/// → advance the watermark → maybe rotate — with a crash point armed at
+/// every journaled edge. The 200 is written by `handle_connection`
+/// strictly after this returns, so an acknowledged mutation is always
+/// journaled.
+fn mutate(shared: &Shared, req: &Request, dataset: Option<Dataset>) -> Result<Json> {
+    let journaled = match &shared.wal {
+        Some(wal) => {
+            let (op, kind, body) = match dataset {
+                Some(_) => (WalOp::Put, req.kind.as_str(), &req.body),
+                None => (WalOp::Del, "", &Json::Null),
+            };
+            shared.cfg.crash.fire(CrashPoint::PreJournal);
+            let seq = wal.append(op, &req.tenant, &req.name, kind, body)?;
+            shared.cfg.crash.fire(CrashPoint::PostJournalPreApply);
+            Some((wal, seq))
+        }
+        None => None,
     };
-    let (kind, body) = match op {
-        WalOp::Put => (req.kind.as_str(), req.body.clone()),
-        WalOp::Del => ("", Json::Null),
-    };
-    shared.cfg.crash.fire(CrashPoint::PreJournal);
-    let seq = wal.append(op, &req.tenant, &req.name, kind, &body)?;
-    shared.cfg.crash.fire(CrashPoint::PostJournalPreApply);
-    let rec = WalRecord {
-        seq,
-        op,
-        tenant: req.tenant.clone(),
-        name: req.name.clone(),
-        kind: kind.to_string(),
-        body,
-    };
-    let out = wal::apply_record(&shared.tenants, &shared.store, &rec);
-    // The seq is resolved either way: on apply failure the client gets
-    // an error (no ack), and replaying the frame after a crash at worst
-    // re-attempts an unacknowledged write — which the contract permits.
-    wal.mark_applied(seq);
-    wal.maybe_rotate(&shared.tenants, &shared.store);
-    shared.cfg.crash.fire(CrashPoint::PostApplyPreAck);
+    let out = wal::apply(&shared.tenants, &shared.store, &req.tenant, &req.name, dataset);
+    if let Some((wal, seq)) = journaled {
+        // The seq is resolved either way: on apply failure the client gets
+        // an error (no ack), and replaying the frame after a crash at worst
+        // re-attempts an unacknowledged write — which the contract permits.
+        wal.mark_applied(seq);
+        wal.maybe_rotate(&shared.tenants, &shared.store);
+        shared.cfg.crash.fire(CrashPoint::PostApplyPreAck);
+    }
     out
 }
 
@@ -652,15 +637,66 @@ mod tests {
         assert_eq!(report.worker_panics, 0);
     }
 
+    /// A mutation takes one route whether or not a journal is configured,
+    /// so the two servers must be indistinguishable on the wire.
+    #[test]
+    fn in_memory_and_journaled_servers_answer_identically() {
+        let dir = std::env::temp_dir().join(format!("lake-server-parity-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let notes = |verb| Request::new("acme", verb).with_name("notes");
+        let script = [
+            notes(Verb::Put).with_kind("text").with_body(Json::str("hello lake")),
+            notes(Verb::Get),
+            Request::new("acme", Verb::List),
+            notes(Verb::Del),
+            notes(Verb::Get),
+            notes(Verb::Del),
+            notes(Verb::Put).with_kind("parquet"),
+        ];
+        let run = |cfg: ServerConfig| -> Vec<(u16, String)> {
+            let h = start_default(cfg);
+            let answers = script
+                .iter()
+                .map(|req| send(&h.addr(), req))
+                .map(|resp| (resp.code.code(), resp.to_json().to_string()))
+                .collect();
+            assert!(h.join().unwrap().drained);
+            answers
+        };
+        let in_memory = run(ServerConfig::default());
+        let journaled = run(ServerConfig {
+            wal: Some(WalConfig::new(dir.to_string_lossy())),
+            ..ServerConfig::default()
+        });
+        assert_eq!(in_memory, journaled);
+        let codes: Vec<u16> = in_memory.iter().map(|(code, _)| *code).collect();
+        assert_eq!(codes, vec![200, 200, 200, 200, 404, 404, 400]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn health_and_stats_and_metrics_respond() {
         let h = start_default(ServerConfig::default());
         let addr = h.addr();
         let health = send(&addr, &Request::new("t", Verb::Health));
         assert_eq!(health.body.get("status"), Some(&Json::str("ok")));
-        assert!(health.cost_us >= 50);
-        let stats = send(&addr, &Request::new("t", Verb::Stats));
+        let canonical = Request::new("t", Verb::Health).to_json().to_string();
+        assert_eq!(health.cost_us, protocol::virtual_cost_us(Verb::Health, canonical.len() as u64));
+        // A non-canonical frame is priced and charged by the bytes it
+        // sent, not by the length of its canonical re-rendering.
+        let padded = format!("  {}\n", canonical.replace(',', " ,\n  "));
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        protocol::write_frame(&mut stream, padded.as_bytes()).unwrap();
+        let answer = protocol::read_json(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
+        assert_eq!(
+            Response::from_json(&answer).unwrap().cost_us,
+            protocol::virtual_cost_us(Verb::Health, padded.len() as u64)
+        );
+        let stats_req = Request::new("t", Verb::Stats);
+        let stats = send(&addr, &stats_req);
         assert!(stats.is_ok());
+        let charged = canonical.len() + padded.len() + stats_req.to_json().to_string().len();
+        assert_eq!(stats.body.get("bytes"), Some(&Json::Num(charged as f64)));
         let metrics = send(&addr, &Request::new("t", Verb::Metrics));
         let text = metrics.body.get("prometheus").and_then(Json::as_str).unwrap_or("");
         assert!(text.contains("lake_server_requests_total"), "{text}");

@@ -16,6 +16,7 @@
 //! across same-seed runs.
 
 use crate::protocol::{self, Request, Response, Verb, DEFAULT_MAX_FRAME_BYTES};
+use lake_core::value::fnv1a;
 use lake_core::{Json, LakeError};
 use lake_sched::{TraceRecord, WorkloadTrace};
 use rand::rngs::StdRng;
@@ -120,17 +121,6 @@ impl SwarmReport {
     }
 }
 
-/// FNV-1a, the workspace's stock string/stream hash — mixes the client
-/// index into the master seed.
-fn fnv1a(x: u64) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in x.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Tally one client-side outcome into `(code → count)`.
 fn code_label(result: &Result<Response, LakeError>) -> String {
     match result {
@@ -159,7 +149,7 @@ struct ClientOutcome {
 /// makes both the swarm's offered multiset and its captured trace
 /// deterministic across thread interleavings.
 fn client_requests(cfg: &SwarmConfig, index: usize) -> Vec<Request> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(index as u64));
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(&(index as u64).to_le_bytes()));
     let tenant = format!("tenant{}", index % cfg.tenants.max(1));
     let greedy = cfg.greedy_tenant_zero && index % cfg.tenants.max(1) == 0;
     let mut put_keys: Vec<String> = Vec::new();
@@ -355,7 +345,7 @@ mod tests {
     fn request_mix_is_deterministic_per_seed() {
         let cfg = SwarmConfig { clients: 1, requests_per_client: 50, ..SwarmConfig::default() };
         let build = |cfg: &SwarmConfig| {
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(3));
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(&3u64.to_le_bytes()));
             let mut keys = Vec::new();
             (0..cfg.requests_per_client)
                 .map(|seq| {

@@ -8,14 +8,14 @@
 //!   [`lake_store::durable`] discipline, byte-compatible with the
 //!   lakehouse `TxnLog` checksum family) holding one [`WalRecord`] each,
 //!   appended under **group commit**: concurrent writers enqueue encoded
-//!   frames, one leader drains up to `group_cap` of them (sized by
-//!   [`lake_core::Parallelism`], the same knob as the worker pool) and
-//!   pays a single `sync_data` for the whole batch;
+//!   frames, one leader drains a batch of them (at most two per worker
+//!   of [`lake_core::Parallelism`], the same knob as the worker pool)
+//!   and pays a single `sync_data` for the whole batch;
 //! * **recovery** — [`Wal::open`] truncates a torn tail (quarantining the
 //!   damaged bytes under `_wal/quarantine/`), loads the checksummed
 //!   snapshot if one exists, and hands back the suffix of records the
-//!   server must replay; the server folds them through the same
-//!   [`apply_record`] the live path uses, so replay and live execution
+//!   server must replay; [`apply_record`] decodes each and hands it to
+//!   the same `apply` the live path calls, so replay and live execution
 //!   cannot diverge;
 //! * **rotation** — once the journal holds `rotate_every` frames, the
 //!   state at the **contiguous-applied watermark** is dumped to an
@@ -39,7 +39,9 @@
 use crate::protocol::dataset_from_body;
 use crate::tenant::Tenants;
 use lake_core::sync::rank;
-use lake_core::{CrashPoint, CrashSwitch, Json, LakeError, OrderedMutex, Parallelism, Result};
+use lake_core::{
+    CrashPoint, CrashSwitch, Dataset, Json, LakeError, OrderedMutex, Parallelism, Result,
+};
 use lake_obs::metrics::{Counter, Gauge};
 use lake_obs::MetricsRegistry;
 use lake_store::durable::{append_sync, atomic_write_sync, checksum_hex, encode_frame, scan_frames};
@@ -59,19 +61,12 @@ pub struct WalConfig {
     /// Rotate (snapshot + compact) once the journal holds this many
     /// frames, so replay is bounded.
     pub rotate_every: u64,
-    /// Max frames one group-commit leader drains per fsync.
-    pub group_cap: usize,
 }
 
 impl WalConfig {
-    /// Defaults: rotate every 1024 frames, group batches sized by the
-    /// same parallelism knob as the worker pool (`RUSTLAKE_WORKERS`).
+    /// Defaults: rotate every 1024 frames.
     pub fn new(dir: impl Into<String>) -> WalConfig {
-        WalConfig {
-            dir: dir.into(),
-            rotate_every: 1024,
-            group_cap: Parallelism::auto().workers().max(1) * 2,
-        }
+        WalConfig { dir: dir.into(), rotate_every: 1024 }
     }
 }
 
@@ -120,18 +115,33 @@ pub struct WalRecord {
     pub body: Json,
 }
 
+/// The journal payload's layout, owned here for [`WalRecord::to_json`] and
+/// [`Wal::append`] alike. Canonical JSON — `BTreeMap`-backed objects, so
+/// the rendered bytes (and therefore the frame checksum) are deterministic.
+fn record_json(seq: u64, op: WalOp, tenant: &str, name: &str, kind: &str, body: &Json) -> Json {
+    Json::obj(vec![
+        ("seq", Json::Num(seq as f64)),
+        ("op", Json::str(op.name())),
+        ("tenant", Json::str(tenant)),
+        ("name", Json::str(name)),
+        ("kind", Json::str(kind)),
+        ("body", body.clone()),
+    ])
+}
+
 impl WalRecord {
-    /// Canonical JSON — `BTreeMap`-backed objects, so the rendered bytes
-    /// (and therefore the frame checksum) are deterministic.
+    /// The record as its journal payload (see [`record_json`]).
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("seq", Json::Num(self.seq as f64)),
-            ("op", Json::str(self.op.name())),
-            ("tenant", Json::str(self.tenant.clone())),
-            ("name", Json::str(self.name.clone())),
-            ("kind", Json::str(self.kind.clone())),
-            ("body", self.body.clone()),
-        ])
+        record_json(self.seq, self.op, &self.tenant, &self.name, &self.kind, &self.body)
+    }
+
+    /// Decode one journal frame; `None` when the payload is not a record
+    /// (not UTF-8, not JSON, a field missing). The only frame decoder:
+    /// recovery and rotation both read the journal through it.
+    fn from_frame(frame: &[u8]) -> Option<WalRecord> {
+        let text = std::str::from_utf8(frame).ok()?;
+        let j = lake_formats::json::parse(text).ok()?;
+        WalRecord::from_json(&j).ok()
     }
 
     /// Parse a journal frame payload.
@@ -254,6 +264,9 @@ struct Watermark {
 /// group-commit design.
 pub struct Wal {
     cfg: WalConfig,
+    /// Max frames one group-commit leader drains per fsync: two per
+    /// worker of the pool (`RUSTLAKE_WORKERS`).
+    group_cap: usize,
     crash: Arc<CrashSwitch>,
     queue: OrderedMutex<WalQueue>,
     file: OrderedMutex<File>,
@@ -340,20 +353,11 @@ impl Wal {
         let mut keep_len = scan.valid_len;
         let mut offset = 0usize;
         for frame in &scan.frames {
-            let text = match std::str::from_utf8(frame) {
-                Ok(t) => t,
-                Err(_) => {
-                    keep_len = offset;
-                    break;
-                }
+            let Some(rec) = WalRecord::from_frame(frame) else {
+                keep_len = offset;
+                break;
             };
-            match lake_formats::json::parse(text).and_then(|j| WalRecord::from_json(&j)) {
-                Ok(rec) => records.push(rec),
-                Err(_) => {
-                    keep_len = offset;
-                    break;
-                }
-            }
+            records.push(rec);
             offset += frame.len() + lake_store::durable::FRAME_OVERHEAD;
         }
         let torn_bytes = (bytes.len() - keep_len) as u64;
@@ -389,6 +393,7 @@ impl Wal {
         let depth_gauge = registry.gauge("lake_server_wal_depth");
         depth_gauge.set(i64::try_from(frames).unwrap_or(i64::MAX));
         let wal = Wal {
+            group_cap: Parallelism::auto().workers().max(1) * 2,
             crash,
             queue: OrderedMutex::new(
                 WalQueue { next_seq, pending: Vec::new() },
@@ -431,15 +436,8 @@ impl Wal {
         let seq = {
             let mut q = self.queue.lock();
             let seq = q.next_seq;
-            let rec = WalRecord {
-                seq,
-                op,
-                tenant: tenant.to_string(),
-                name: name.to_string(),
-                kind: kind.to_string(),
-                body: body.clone(),
-            };
-            let frame = encode_frame(rec.to_json().to_string().as_bytes())?;
+            let payload = record_json(seq, op, tenant, name, kind, body).to_string();
+            let frame = encode_frame(payload.as_bytes())?;
             q.next_seq += 1;
             q.pending.push((seq, frame));
             seq
@@ -461,7 +459,7 @@ impl Wal {
             }
             let batch: Vec<(u64, Vec<u8>)> = {
                 let mut q = self.queue.lock();
-                let take = q.pending.len().min(self.cfg.group_cap.max(1));
+                let take = q.pending.len().min(self.group_cap);
                 q.pending.drain(..take).collect()
             };
             // The queue cannot be empty here: a frame leaves `pending`
@@ -567,12 +565,7 @@ impl Wal {
         let mut kept = Vec::new();
         let mut kept_frames = 0u64;
         for frame in &scan.frames {
-            let keep = std::str::from_utf8(frame)
-                .ok()
-                .and_then(|t| lake_formats::json::parse(t).ok())
-                .and_then(|j| WalRecord::from_json(&j).ok())
-                .is_some_and(|r| r.seq > watermark);
-            if keep {
+            if WalRecord::from_frame(frame).is_some_and(|r| r.seq > watermark) {
                 kept.extend_from_slice(&encode_frame(frame)?);
                 kept_frames += 1;
             }
@@ -609,31 +602,42 @@ fn load_snapshot(path: &Path) -> Result<Json> {
     Ok(payload.clone())
 }
 
-/// Fold one journal record into the live namespace — the same function
-/// the durable live path uses, so replay cannot diverge from execution.
-/// `del` of a missing name is a no-op (idempotent replay).
+/// Apply one mutation to the live namespace and build its response body:
+/// `Some(dataset)` stores it under `tenant/name` (a put), `None` removes
+/// that name (a del; of a missing name a no-op, so replay is idempotent).
+/// The only code that stores or removes a dataset for a put or del — the
+/// live path (with or without a journal) and replay both end here.
+pub(crate) fn apply(
+    tenants: &Tenants,
+    store: &Polystore,
+    tenant: &str,
+    name: &str,
+    dataset: Option<Dataset>,
+) -> Result<Json> {
+    let Some(dataset) = dataset else {
+        if let Some(id) = tenants.lookup(tenant, name) {
+            store.remove(id)?;
+            tenants.remove_name(tenant, name);
+        }
+        return Ok(Json::obj(vec![("deleted", Json::str(name))]));
+    };
+    let kind = dataset.kind().name();
+    let id = tenants.assign(tenant, name);
+    let placement = store.store(id, &Tenants::scoped(tenant, name), dataset)?;
+    Ok(Json::obj(vec![
+        ("id", Json::Num(id.0 as f64)),
+        ("kind", Json::str(kind)),
+        ("store", Json::str(placement.store.name())),
+    ]))
+}
+
+/// Decode one journal record and [`apply`] it (replay, tests, benches).
 pub fn apply_record(tenants: &Tenants, store: &Polystore, rec: &WalRecord) -> Result<Json> {
-    match rec.op {
-        WalOp::Put => {
-            let dataset = dataset_from_body(&rec.kind, &rec.body)?;
-            let kind = dataset.kind().name();
-            let id = tenants.assign(&rec.tenant, &rec.name);
-            let scoped = Tenants::scoped(&rec.tenant, &rec.name);
-            let placement = store.store(id, &scoped, dataset)?;
-            Ok(Json::obj(vec![
-                ("id", Json::Num(id.0 as f64)),
-                ("kind", Json::str(kind)),
-                ("store", Json::str(placement.store.name())),
-            ]))
-        }
-        WalOp::Del => {
-            if let Some(id) = tenants.lookup(&rec.tenant, &rec.name) {
-                store.remove(id)?;
-                tenants.remove_name(&rec.tenant, &rec.name);
-            }
-            Ok(Json::obj(vec![("deleted", Json::str(rec.name.clone()))]))
-        }
-    }
+    let dataset = match rec.op {
+        WalOp::Put => Some(dataset_from_body(&rec.kind, &rec.body)?),
+        WalOp::Del => None,
+    };
+    apply(tenants, store, &rec.tenant, &rec.name, dataset)
 }
 
 /// Dump every tenant namespace as `{tenant: {name: {"kind","body"}}}` —
@@ -654,7 +658,8 @@ pub fn dump_state(tenants: &Tenants, store: &Polystore) -> Json {
 }
 
 /// Restore a snapshot payload's `tenants` map into the live namespace.
-/// Returns the number of datasets restored.
+/// Returns the number of datasets restored. A bulk load, not a mutation:
+/// it stores directly, with no response body to build.
 pub fn restore_snapshot(tenants: &Tenants, store: &Polystore, payload: &Json) -> Result<u64> {
     let mut restored = 0u64;
     let Some(map) = payload.get("tenants").and_then(Json::as_object) else {
@@ -667,8 +672,8 @@ pub fn restore_snapshot(tenants: &Tenants, store: &Polystore, payload: &Json) ->
                 .get("kind")
                 .and_then(Json::as_str)
                 .ok_or_else(|| LakeError::parse("snapshot entry missing \"kind\""))?;
-            let body = entry.get("body").cloned().unwrap_or(Json::Null);
-            let dataset = dataset_from_body(kind, &body)?;
+            let body = entry.get("body").unwrap_or(&Json::Null);
+            let dataset = dataset_from_body(kind, body)?;
             let id = tenants.assign(tenant, name);
             store.store(id, &Tenants::scoped(tenant, name), dataset)?;
             restored += 1;
@@ -722,6 +727,52 @@ mod tests {
         assert_eq!(back, rec);
         // Canonical: re-rendering is byte-identical.
         assert_eq!(back.to_json().to_string(), rendered);
+    }
+
+    /// The on-disk format, pinned: one put and one del as the payload
+    /// `to_json` renders, and as the frames (u32 BE length, payload, u64
+    /// BE FNV-1a-64) `append` leaves in `journal.log`. A journal written
+    /// by any earlier build must keep replaying, so these bytes only
+    /// change with a migration.
+    #[test]
+    fn journal_bytes_are_golden() {
+        const PUT: &str = "{\"body\":\"hello lake\",\"kind\":\"text\",\"name\":\"notes\",\
+                           \"op\":\"put\",\"seq\":1,\"tenant\":\"acme\"}";
+        const DEL: &str = "{\"body\":null,\"kind\":\"\",\"name\":\"notes\",\
+                           \"op\":\"del\",\"seq\":2,\"tenant\":\"acme\"}";
+        let put = WalRecord {
+            seq: 1,
+            op: WalOp::Put,
+            tenant: "acme".into(),
+            name: "notes".into(),
+            kind: "text".into(),
+            body: Json::str("hello lake"),
+        };
+        let del = WalRecord {
+            seq: 2,
+            op: WalOp::Del,
+            tenant: "acme".into(),
+            name: "notes".into(),
+            kind: String::new(),
+            body: Json::Null,
+        };
+        assert_eq!(put.to_json().to_string(), PUT);
+        assert_eq!(del.to_json().to_string(), DEL);
+
+        let dir = temp_dir("golden");
+        let (wal, _) = open(&dir);
+        for rec in [&put, &del] {
+            let seq = wal.append(rec.op, &rec.tenant, &rec.name, &rec.kind, &rec.body).unwrap();
+            assert_eq!(seq, rec.seq);
+        }
+        let mut golden = Vec::new();
+        for (payload, crc) in [(PUT, 0x705b_66b6_653a_5a13_u64), (DEL, 0x48cb_be88_76a4_ae1f)] {
+            golden.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            golden.extend_from_slice(payload.as_bytes());
+            golden.extend_from_slice(&crc.to_be_bytes());
+        }
+        assert_eq!(std::fs::read(Wal::journal_path(&WalConfig::new(&dir))).unwrap(), golden);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -27,16 +27,9 @@ use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-/// FNV-1a 64-bit — the workspace's standard content checksum (identical
-/// constants to the lakehouse transaction log's entry crc).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit — the workspace's standard content checksum, under the
+/// name the journal code and the lakehouse log's entry crc know it by.
+pub use lake_core::value::fnv1a as fnv1a64;
 
 /// The checksum rendered the way the lakehouse log stores it: 16 lowercase
 /// hex digits.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification chain for the rustlake workspace:
-# build, test, the repo-native static-analysis gate (including the
+# build, test, the benchmark harness's build against the crates' public
+# items, the repo-native static-analysis gate (including the
 # float-ordering rule), the fault-injection chaos gate, the
 # observability smoke gate, the server smoke gate (boot, every verb,
 # metrics scrape, SIGTERM drain), the scheduler smoke gate (trace
@@ -23,6 +24,10 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+# bench/ is a package of its own with its own committed lock: a refactor
+# that breaks a public item it imports, or a dependency-list change that
+# stales bench/Cargo.lock, fails here instead of in the benchmark run.
+cargo build --release --offline --locked --manifest-path bench/Cargo.toml
 cargo run -p lake-lint -- check
 # Machine-readable lint report for downstream tooling (deterministic
 # ordering; the exit code above already gates the build).

@@ -130,9 +130,11 @@ impl AdmissionController {
     }
 
     /// Flip into drain mode: every subsequent offer is rejected with
-    /// [`Offer::Draining`]. Idempotent.
-    pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+    /// [`Offer::Draining`]. Idempotent; returns `true` to the one caller
+    /// whose call flipped the flag, so exactly one caller wakes the
+    /// acceptor however many ask for the drain.
+    pub fn begin_drain(&self) -> bool {
+        !self.draining.swap(true, Ordering::SeqCst)
     }
 
     /// `true` once a drain has begun.
@@ -188,7 +190,8 @@ mod tests {
     fn drain_rejects_everything_new() {
         let a = AdmissionController::new(8);
         assert_eq!(a.offer(), Offer::Admit);
-        a.begin_drain();
+        assert!(a.begin_drain(), "the first call flips the flag");
+        assert!(!a.begin_drain(), "later calls find it flipped");
         assert!(a.is_draining());
         assert_eq!(a.offer(), Offer::Draining);
         assert_eq!(a.offer(), Offer::Draining);

@@ -364,7 +364,7 @@ pub fn virtual_cost_us(verb: Verb, request_bytes: u64) -> u64 {
 /// before the first length byte); EOF mid-frame is a [`LakeError::Parse`]
 /// (truncated), a socket timeout is a [`LakeError::Transient`] with a
 /// `"deadline"` marker, and an oversized length is [`LakeError::Invalid`].
-pub fn read_frame(stream: &mut TcpStream, max_frame: usize) -> Result<Option<Vec<u8>>> {
+pub fn read_frame(stream: &mut impl Read, max_frame: usize) -> Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -395,21 +395,23 @@ pub fn read_frame(stream: &mut TcpStream, max_frame: usize) -> Result<Option<Vec
     }
 }
 
-/// Write one length-prefixed frame.
-pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<()> {
+/// Write one length-prefixed frame. Prefix and payload leave in a single
+/// `write`, so a small frame is one TCP segment and the peer's reader
+/// wakes once for it; sent as two writes, the peer wakes on the four
+/// length bytes and blocks again until the payload's segment comes.
+pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| LakeError::invalid("frame payload exceeds u32::MAX"))?;
-    stream
-        .write_all(&len.to_be_bytes())
-        .and_then(|()| stream.write_all(payload))
-        .and_then(|()| stream.flush())
-        .map_err(|e| {
-            if is_timeout(&e) {
-                LakeError::transient("deadline: frame write timed out")
-            } else {
-                LakeError::Io(format!("frame write: {e}"))
-            }
-        })
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame).and_then(|()| stream.flush()).map_err(|e| {
+        if is_timeout(&e) {
+            LakeError::transient("deadline: frame write timed out")
+        } else {
+            LakeError::Io(format!("frame write: {e}"))
+        }
+    })
 }
 
 /// Serialize and send a JSON value as one frame.
@@ -606,6 +608,45 @@ mod tests {
         let back = read_json(&mut c, DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
         assert_eq!(back, msg);
         echo.join().unwrap();
+    }
+
+    /// A sink that counts how many `write` calls it took.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_round_trips_at_every_size() {
+        let max = DEFAULT_MAX_FRAME_BYTES;
+        for len in [0, 1, 4_095, 65_536, max, max + 1] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let mut sink = CountingSink::default();
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.writes, 1, "{len}-byte payload");
+            // On the wire: the big-endian length, then the payload.
+            assert_eq!(sink.bytes.len(), 4 + len);
+            assert_eq!(sink.bytes[..4], (len as u32).to_be_bytes());
+            let back = read_frame(&mut sink.bytes.as_slice(), max);
+            if len <= max {
+                assert_eq!(back.unwrap(), Some(payload), "{len}-byte payload");
+            } else {
+                assert!(matches!(back, Err(LakeError::Invalid(_))), "{back:?}");
+            }
+        }
     }
 
     #[test]

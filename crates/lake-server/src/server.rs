@@ -1,23 +1,30 @@
 //! The accept/worker loops and the graceful-drain state machine.
 //!
-//! Topology: one non-blocking acceptor thread offers every inbound
-//! connection to the [`AdmissionController`], then hands admitted sockets
-//! to a fixed worker pool (sized by [`lake_core::Parallelism`], the same
-//! knob the batch fan-outs use) over an mpmc channel. Each worker serves
-//! one request per connection inside `std::panic::catch_unwind`, so a
-//! panicking handler kills *that connection*, increments
-//! `lake_server_worker_panics_total`, and the process lives on.
+//! Topology: one acceptor thread blocks in `accept()`, offers every
+//! inbound connection to the [`AdmissionController`], then hands admitted
+//! sockets to a fixed worker pool (sized by [`lake_core::Parallelism`], the
+//! same knob the batch fan-outs use) over an mpmc channel. Nothing between
+//! a successful `accept()` and the response write polls or sleeps, so a
+//! request costs what its work costs. Each worker serves one request per
+//! connection inside `std::panic::catch_unwind`, so a panicking handler
+//! kills *that connection*, increments `lake_server_worker_panics_total`,
+//! and the process lives on.
 //!
 //! Drain is a three-step ladder, observable at every rung:
 //!
-//! 1. [`ServerHandle::drain`] flips the admission flag — new connections
-//!    get a typed `draining` rejection, never a hung accept;
-//! 2. the acceptor exits and drops the task sender, so workers finish
+//! 1. [`ServerHandle::drain`], the `drain` verb or [`ServerHandle::join`]
+//!    flips the admission flag — new connections get a typed `draining`
+//!    rejection, never a hung accept;
+//! 2. flag, then wake: the caller that flipped the flag unblocks the
+//!    acceptor with a loopback connection of its own, which the acceptor
+//!    knows by its peer address and counts nowhere (it is not an offer);
+//!    the acceptor exits and drops the task sender, so workers finish
 //!    every queued and in-flight request, then see the channel disconnect
 //!    and exit;
-//! 3. [`ServerHandle::join`] waits for the pool under the drain deadline
-//!    and returns a [`DrainReport`] with the final conserved admission
-//!    counters.
+//! 3. [`ServerHandle::join`] blocks until the acceptor and the pool have
+//!    exited, or the drain deadline passes, retrying the wake-up until one
+//!    has connected, and returns a [`DrainReport`] with the final
+//!    conserved admission counters.
 
 use crate::admission::{AdmissionController, AdmissionCounters, Offer};
 use crate::protocol::{
@@ -27,14 +34,24 @@ use crate::protocol::{
 use crate::tenant::Tenants;
 use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalOp};
 use lake_core::retry::Clock;
-use lake_core::{CrashPoint, CrashSwitch, Dataset, Json, LakeError, Parallelism, Result};
+use lake_core::{
+    CrashPoint, CrashSwitch, Dataset, Json, LakeError, Parallelism, Result, SystemClock,
+};
 use lake_obs::{MetricsRegistry, MICROS_TO_SECONDS};
 use lake_query::degrade::Admission;
 use lake_query::{BreakerConfig, QuotaConfig, QuotaDecision};
 use lake_store::polystore::Polystore;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Ceiling on one drain wake-up's loopback connect. Generous on purpose:
+/// a connect given up on here can still complete in the kernel and reach
+/// the acceptor unrecognised, where it would be counted as an offer.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// One slice of `join`'s wait: how often a lost wake-up is offered again.
+const SLICE: Duration = Duration::from_millis(1);
 
 /// Everything tunable about one server instance.
 #[derive(Debug, Clone)]
@@ -95,7 +112,8 @@ impl Default for ServerConfig {
 /// What [`ServerHandle::join`] reports after shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainReport {
-    /// `true` when every worker exited inside the drain deadline.
+    /// `true` when the acceptor and every worker exited inside the drain
+    /// deadline.
     pub drained: bool,
     /// Admitted connections still unreleased at exit (0 on a clean drain).
     pub in_flight_at_exit: usize,
@@ -107,6 +125,9 @@ pub struct DrainReport {
 
 struct Shared {
     cfg: ServerConfig,
+    /// The listener's bound address: what clients dial, and where the
+    /// drain wake-up connects.
+    addr: SocketAddr,
     store: Arc<Polystore>,
     tenants: Tenants,
     admission: AdmissionController,
@@ -114,9 +135,72 @@ struct Shared {
     clock: Arc<dyn Clock>,
     wal: Option<Wal>,
     recovery: Option<RecoveryReport>,
+    /// The drain wake-up's connection, once one has connected. Kept until
+    /// shutdown so its port cannot pass to a real client while the
+    /// acceptor may still compare peers against it.
+    wake: Mutex<Option<TcpStream>>,
+    /// How many of the acceptor and the workers have not returned yet, and
+    /// the signal that the last one has, which `join` waits on.
+    running: Mutex<usize>,
+    all_exited: Condvar,
+}
+
+/// Held by the acceptor and by every worker for as long as it runs;
+/// dropping it, by return or by panic, is the exit `join` waits for.
+struct Running(Arc<Shared>);
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        let mut running = self.0.running.lock().unwrap_or_else(PoisonError::into_inner);
+        *running = running.saturating_sub(1);
+        if *running == 0 {
+            self.0.all_exited.notify_all();
+        }
+    }
 }
 
 impl Shared {
+    /// Flip the drain flag; the one caller that flipped it wakes the
+    /// acceptor.
+    fn begin_drain(&self) {
+        if self.admission.begin_drain() {
+            self.wake_acceptor();
+        }
+    }
+
+    fn wake_slot(&self) -> MutexGuard<'_, Option<TcpStream>> {
+        // The slot is only ever assigned whole, so a poisoned lock still
+        // guards a valid value.
+        self.wake.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Unblock the acceptor's `accept()` by connecting to our own listener
+    /// (the crate denies `unsafe`, so the listening socket cannot be shut
+    /// down under it). The slot stays locked across the connect on
+    /// purpose: the acceptor can be handed the connection before `connect`
+    /// returns here, and must not judge that peer until the stream is in
+    /// the slot. A no-op once a wake-up has connected; a failed attempt (no
+    /// descriptor, no port) leaves the slot empty for `join` to retry.
+    fn wake_acceptor(&self) {
+        let mut wake = self.wake_slot();
+        if wake.is_none() {
+            *wake = TcpStream::connect_timeout(&self.addr, WAKE_CONNECT_TIMEOUT).ok();
+        }
+    }
+
+    /// `true` once the acceptor and every worker have returned.
+    fn none_running(&self) -> bool {
+        *self.running.lock().unwrap_or_else(PoisonError::into_inner) == 0
+    }
+
+    /// `true` for the drain wake-up's own connection.
+    fn is_wake(&self, peer: SocketAddr) -> bool {
+        // Only a drain makes wake-ups, so a serving acceptor reads one
+        // atomic here and takes no lock.
+        self.admission.is_draining()
+            && self.wake_slot().as_ref().and_then(|s| s.local_addr().ok()) == Some(peer)
+    }
+
     fn count_request(&self, verb: &str, code: ErrorCode, cost_us: u64) {
         self.registry
             .counter_with("lake_server_requests_total", &[("verb", verb), ("code", code.name())])
@@ -141,9 +225,6 @@ impl LakeServer {
     ) -> Result<ServerHandle> {
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| LakeError::Io(format!("bind {}: {e}", cfg.addr)))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| LakeError::Io(format!("set_nonblocking: {e}")))?;
         let addr = listener
             .local_addr()
             .map_err(|e| LakeError::Io(format!("local_addr: {e}")))?;
@@ -182,54 +263,57 @@ impl LakeServer {
             None => (None, None),
         };
 
+        let worker_count = cfg.workers.workers().max(1);
         let shared = Arc::new(Shared {
             admission: AdmissionController::new(cfg.queue_capacity),
             tenants,
             cfg,
+            addr,
             store,
             registry,
             clock,
             wal,
             recovery,
+            wake: Mutex::new(None),
+            running: Mutex::new(worker_count + 1),
+            all_exited: Condvar::new(),
         });
 
         let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-        let worker_count = shared.cfg.workers.workers().max(1);
         let mut workers = Vec::with_capacity(worker_count);
         for _ in 0..worker_count {
             let rx = rx.clone();
-            let shared = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || worker_loop(&shared, &rx)));
+            let running = Running(Arc::clone(&shared));
+            workers.push(std::thread::spawn(move || worker_loop(&running.0, &rx)));
         }
         drop(rx);
 
         let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
+            let running = Running(Arc::clone(&shared));
+            std::thread::spawn(move || accept_loop(&running.0, &listener, &tx))
         };
 
-        Ok(ServerHandle { addr, shared, acceptor: Some(acceptor), workers })
+        Ok(ServerHandle { shared, acceptor, workers })
     }
 }
 
 /// A running server: its address, drain switch, and join/report.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
+    acceptor: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ServerHandle {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> String {
-        self.addr.to_string()
+        self.shared.addr.to_string()
     }
 
     /// Begin a graceful drain: stop admitting, let in-flight work finish.
     /// Idempotent; also triggered remotely by the `drain` verb.
     pub fn drain(&self) {
-        self.shared.admission.begin_drain();
+        self.shared.begin_drain();
     }
 
     /// `true` once a drain has begun (locally or via the `drain` verb).
@@ -250,35 +334,59 @@ impl ServerHandle {
             .counter_value("lake_server_worker_panics_total")
     }
 
-    /// Drain (if not already draining), wait for the pool under the drain
-    /// deadline, flush final gauges, and report. Workers that ignore the
-    /// deadline are detached, never killed — the report says so instead.
-    pub fn join(mut self) -> Result<DrainReport> {
+    /// Drain (if not already draining), wait for the acceptor and the pool
+    /// under the drain deadline, flush final gauges, and report. Threads
+    /// that ignore the deadline are detached, never killed — the report
+    /// says so instead.
+    pub fn join(self) -> Result<DrainReport> {
         self.drain();
-        if let Some(acceptor) = self.acceptor.take() {
-            if acceptor.join().is_err() {
-                // The acceptor never panics by design; record loudly if it did.
-                self.shared.registry.counter("lake_server_acceptor_panics_total").inc();
-            }
+        // Once the acceptor has dropped the task sender, workers drain the
+        // queue and exit on channel disconnect, and the last thread out
+        // signals `all_exited`: a clean drain returns as soon as it is
+        // over. The wait is sliced against the real clock, whatever clock
+        // was injected: the drain deadline bounds a *hang*, which virtual
+        // clocks cannot observe.
+        let clock = SystemClock;
+        let budget_us = self.shared.cfg.drain_deadline_ms.max(1).saturating_mul(1_000);
+        let started_us = clock.now_micros();
+        let deadline_us = started_us.saturating_add(budget_us);
+        // With nothing in flight the exits are tens of microseconds away,
+        // so the first slice yields across them instead of parking. A
+        // parked `join` is woken by whichever thread left last, one time
+        // in six onto that thread's core, and what the caller does next
+        // starts cold there: measured on servers started and joined back
+        // to back, the next start's median +0.2 ms and its spread ×5.
+        let first_slice_us = started_us.saturating_add(SLICE.as_micros() as u64).min(deadline_us);
+        while !self.shared.none_running() && clock.now_micros() < first_slice_us {
+            std::thread::yield_now();
         }
-        // The acceptor dropped the task sender, so workers drain the queue
-        // and exit on channel disconnect. Wait with a sliced real-time
-        // budget: the drain deadline bounds a *hang*, which virtual clocks
-        // cannot observe.
-        let deadline_slices = self.shared.cfg.drain_deadline_ms.max(1);
-        let mut waited = 0u64;
-        let mut pending = self.workers;
-        while !pending.is_empty() && waited < deadline_slices {
-            pending.retain(|h| !h.is_finished());
-            if pending.is_empty() {
-                break;
+        let drained = loop {
+            let running = self.shared.running.lock().unwrap_or_else(PoisonError::into_inner);
+            let (running, _) = self
+                .shared
+                .all_exited
+                .wait_timeout_while(running, SLICE, |n| *n > 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            let exited = *running == 0;
+            drop(running);
+            if exited || clock.now_micros() >= deadline_us {
+                break exited;
             }
-            std::thread::sleep(Duration::from_millis(1));
-            waited += 1;
+            if !self.acceptor.is_finished() {
+                // Still blocked in `accept()`: the wake-up may have been
+                // lost (connect failed), so offer it again.
+                self.shared.wake_acceptor();
+            }
+        };
+        // On a clean drain every thread is past its body, so the joins
+        // below do not wait; a thread that outlived the deadline is left
+        // detached.
+        if (drained || self.acceptor.is_finished()) && self.acceptor.join().is_err() {
+            // The acceptor never panics by design; record loudly if it did.
+            self.shared.registry.counter("lake_server_acceptor_panics_total").inc();
         }
-        let drained = pending.iter().all(|h| h.is_finished());
-        for h in pending {
-            if h.is_finished() && h.join().is_err() {
+        for h in self.workers {
+            if (drained || h.is_finished()) && h.join().is_err() {
                 // Worker bodies catch handler panics; a panic here would
                 // be a harness bug worth surfacing in the report counters.
                 self.shared.registry.counter("lake_server_worker_panics_total").inc();
@@ -309,7 +417,12 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &crossbeam::channel:
             return;
         }
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, peer)) => {
+                if shared.is_wake(peer) {
+                    // The drain's own connection, not a client: it is not
+                    // an offer and no counter sees it.
+                    return;
+                }
                 shared.registry.counter("lake_server_connections_total").inc();
                 match shared.admission.offer() {
                     Offer::Admit => {
@@ -329,15 +442,15 @@ fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &crossbeam::channel:
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Real sleep, deliberately not the injected clock: under a
-                // ManualClock a virtual sleep would spin without yielding,
-                // and the poll cadence is not part of any determinism
-                // contract (nothing measures it).
-                std::thread::sleep(Duration::from_millis(1));
-            }
             Err(_) => {
+                // The error path only (no descriptors left, a handshake
+                // aborted by the peer): counted, and backed off so a
+                // persistent failure cannot spin a core — but a drain is
+                // seen before the sleep, not after it.
                 shared.registry.counter("lake_server_accept_errors_total").inc();
+                if shared.admission.is_draining() {
+                    return;
+                }
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
@@ -355,28 +468,32 @@ fn reject(shared: &Shared, mut stream: TcpStream, code: ErrorCode, detail: &str)
 }
 
 fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<TcpStream>) {
-    while let Ok(stream) = rx.recv() {
+    while let Ok(mut stream) = rx.recv() {
         let inflight = shared.registry.gauge("lake_server_inflight");
         inflight.add(1);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_connection(shared, stream);
+            handle_connection(shared, &mut stream);
         }));
         if outcome.is_err() {
             shared.registry.counter("lake_server_worker_panics_total").inc();
         }
+        // The handler only borrowed the connection, so a panic is counted
+        // before the connection closes: a client that saw it die, and
+        // whatever that client does next, finds the counter already moved.
+        drop(stream);
         inflight.add(-1);
         shared.admission.release();
     }
 }
 
-fn handle_connection(shared: &Shared, mut stream: TcpStream) {
+fn handle_connection(shared: &Shared, stream: &mut TcpStream) {
     let read_t = Some(Duration::from_millis(shared.cfg.read_timeout_ms.max(1)));
     let write_t = Some(Duration::from_millis(shared.cfg.write_timeout_ms.max(1)));
     if stream.set_read_timeout(read_t).is_err() || stream.set_write_timeout(write_t).is_err() {
         return;
     }
     // A request is priced and charged by the payload bytes it sent.
-    let read = protocol::read_frame(&mut stream, shared.cfg.max_frame_bytes).and_then(|payload| {
+    let read = protocol::read_frame(stream, shared.cfg.max_frame_bytes).and_then(|payload| {
         payload.map(|p| Ok((protocol::payload_json(&p)?, p.len() as u64))).transpose()
     });
     let (frame, frame_bytes) = match read {
@@ -395,7 +512,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
             };
             let resp = Response::fail(code, e);
             shared.count_request("unparsed", code, 0);
-            let _ = protocol::write_json(&mut stream, &resp.to_json());
+            let _ = protocol::write_json(stream, &resp.to_json());
             return;
         }
     };
@@ -407,7 +524,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         Err(e) => ("unparsed", Response::fail(ErrorCode::BadRequest, e)),
     };
     shared.count_request(verb_label, resp.code, resp.cost_us);
-    let _ = protocol::write_json(&mut stream, &resp.to_json());
+    let _ = protocol::write_json(stream, &resp.to_json());
 }
 
 fn dispatch(shared: &Shared, req: &Request, frame_bytes: u64) -> Response {
@@ -430,7 +547,7 @@ fn dispatch(shared: &Shared, req: &Request, frame_bytes: u64) -> Response {
     // Admin verbs bypass quota and breaker: `drain` must work for an
     // operator even when every tenant budget is spent.
     if req.verb == Verb::Drain {
-        shared.admission.begin_drain();
+        shared.begin_drain();
         return Response::ok(Json::obj(vec![("draining", Json::Bool(true))]), cost_us);
     }
 
@@ -590,7 +707,6 @@ fn mutate(shared: &Shared, req: &Request, dataset: Option<Dataset>) -> Result<Js
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lake_core::SystemClock;
 
     fn start_default(cfg: ServerConfig) -> ServerHandle {
         LakeServer::start(
@@ -712,15 +828,90 @@ mod tests {
         h.join().unwrap();
     }
 
+    /// `offered`, `admitted`, `shed`, `drain_rejected` of a report.
+    fn tally(report: &DrainReport) -> [u64; 4] {
+        let a = report.admission;
+        [a.offered, a.admitted, a.shed, a.drain_rejected]
+    }
+
+    #[test]
+    fn idle_drain_wakes_the_acceptor_and_counts_nothing() {
+        let h = start_default(ServerConfig::default());
+        let registry = Arc::clone(&h.shared.registry);
+        h.drain();
+        h.drain();
+        // `drained` inside the 5 s deadline means the blocked acceptor was
+        // woken; the wake-up itself is not an offer and no counter saw it.
+        let report = h.join().unwrap();
+        assert!(report.drained, "{report:?}");
+        assert_eq!(tally(&report), [0, 0, 0, 0]);
+        assert_eq!(registry.snapshot().counter_value("lake_server_connections_total"), 0);
+    }
+
     #[test]
     fn drain_verb_flips_the_server_into_draining() {
         let h = start_default(ServerConfig::default());
         let addr = h.addr();
         assert!(send(&addr, &Request::new("ops", Verb::Drain)).is_ok());
         assert!(h.is_draining());
+        // The verb's own wake-up ends the acceptor; `join` (which would
+        // retry the wake-up) has not been called yet.
+        for _ in 0..5_000 {
+            if h.acceptor.is_finished() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(h.acceptor.is_finished(), "the drain verb left the acceptor blocked in accept()");
         let report = h.join().unwrap();
         assert!(report.drained);
-        assert!(report.admission.is_conserved());
+        assert_eq!(tally(&report), [1, 1, 0, 0]);
+    }
+
+    #[test]
+    fn a_client_racing_the_drain_is_answered_or_refused_never_hung() {
+        let h = start_default(ServerConfig::default());
+        let addr = h.addr();
+        let health = Request::new("t", Verb::Health);
+        assert!(send(&addr, &health).is_ok());
+        // Flag up, wake-up not connected yet: the next connection the
+        // acceptor sees is a real client's, and it is an offer.
+        assert!(h.shared.admission.begin_drain());
+        let racing = protocol::request(&addr, &health, 2_000, DEFAULT_MAX_FRAME_BYTES);
+        // And a client that comes after both flag and wake-up.
+        h.shared.wake_acceptor();
+        let late = protocol::request(&addr, &health, 2_000, DEFAULT_MAX_FRAME_BYTES);
+        for answer in [racing, late] {
+            // The typed rejection, or a transport error (refused, reset)
+            // inside the read deadline: never a 200, never a hang.
+            assert!(answer.map_or(true, |resp| resp.code == ErrorCode::Draining));
+        }
+        let report = h.join().unwrap();
+        assert!(report.drained, "{report:?}");
+        let [offered, admitted, shed, drain_rejected] = tally(&report);
+        assert_eq!([admitted, shed], [1, 0]);
+        assert_eq!(offered, 1 + drain_rejected);
+    }
+
+    #[test]
+    fn join_gives_up_on_an_acceptor_no_wake_up_reaches() {
+        let h = start_default(ServerConfig { drain_deadline_ms: 200, ..ServerConfig::default() });
+        let addr = h.addr();
+        // Put the acceptor back into `accept()` behind a served request,
+        // then lose every wake-up: a connection to somewhere else sits in
+        // the slot, so `wake_acceptor` takes the acceptor for woken.
+        let health = Request::new("t", Verb::Health);
+        assert!(send(&addr, &health).is_ok());
+        std::thread::sleep(Duration::from_millis(50));
+        let elsewhere = TcpListener::bind("127.0.0.1:0").unwrap();
+        *h.shared.wake_slot() = TcpStream::connect(elsewhere.local_addr().unwrap()).ok();
+        let report = h.join().unwrap();
+        assert!(!report.drained, "{report:?}");
+        assert_eq!(tally(&report), [1, 1, 0, 0]);
+        // The acceptor was left detached in `accept()`; a client releases
+        // it, and is told what it ran into.
+        let late = protocol::request(&addr, &health, 2_000, DEFAULT_MAX_FRAME_BYTES);
+        assert!(late.map_or(true, |resp| resp.code == ErrorCode::Draining));
     }
 
     #[test]

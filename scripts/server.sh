@@ -2,11 +2,12 @@
 # Server smoke gate: boot the real `lake_server` binary, exercise one
 # request per protocol verb over the wire, scrape the Prometheus
 # endpoint, then SIGTERM it mid-life and assert a graceful drain —
-# in-flight work finished, metrics flushed, exit status 0. A second leg
-# boots with the write-ahead journal, kill -9s the process mid-swarm,
-# restarts on the same WAL dir, and asserts every acked write is
-# readable again (the durability contract end-to-end, real processes
-# and real fsyncs).
+# in-flight work finished, metrics flushed, exit status 0. An idle leg
+# SIGTERMs a server nobody ever connected to (the drain must wake the
+# blocked acceptor by itself). A last leg boots with the write-ahead
+# journal, kill -9s the process mid-swarm, restarts on the same WAL dir,
+# and asserts every acked write is readable again (the durability
+# contract end-to-end, real processes and real fsyncs).
 #
 # This is deliberately an end-to-end process test (fork/exec, signals,
 # real sockets), complementing the in-process chaos suites in
@@ -96,6 +97,35 @@ fi
 grep -q 'drained=true' "$LOG" || { echo "server.sh: no drain report" >&2; cat "$LOG" >&2; exit 1; }
 SERVER_PID=
 echo "server.sh: all verbs answered, metrics scraped, SIGTERM drained cleanly (exit 0)"
+
+# ---- idle SIGTERM: nothing in flight, nothing ever sent ----------------
+# The acceptor sits blocked in accept() and no client will ever unblock
+# it, so only the drain's own wake-up can end it — the swarm in the leg
+# above would hide a lost one. The wake-up is not an offer: offered=0.
+: >"$LOG"
+"$BIN" serve >"$LOG" 2>&1 &
+SERVER_PID=$!
+wait_addr "$LOG" >/dev/null
+kill -TERM "$SERVER_PID"
+for _ in $(seq 1 40); do
+    kill -0 "$SERVER_PID" 2>/dev/null || break
+    sleep 0.05
+done
+if kill -0 "$SERVER_PID" 2>/dev/null; then
+    echo "server.sh: idle server still running 2 s after SIGTERM" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+rc=0
+wait "$SERVER_PID" || rc=$?
+SERVER_PID=
+if [[ $rc -ne 0 ]]; then
+    echo "server.sh: idle drain exited $rc, want 0" >&2
+    cat "$LOG" >&2
+    exit 1
+fi
+grep -q 'drained=true .* offered=0 ' "$LOG" || { echo "server.sh: idle drain report is not drained=true offered=0" >&2; cat "$LOG" >&2; exit 1; }
+echo "server.sh: idle server woke on SIGTERM and drained (exit 0, offered=0)"
 
 # ---- kill -9 mid-swarm: write-ahead journal durability ----------------
 # Boot with the WAL, ack two known writes, put a swarm in flight, then

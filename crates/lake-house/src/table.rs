@@ -15,7 +15,7 @@ use lake_formats::columnar;
 use lake_formats::varint::{get_str, get_u64, put_str, put_u64};
 use lake_index::bloom::BloomFilter;
 use lake_store::object::ObjectStore;
-use lake_store::predicate::Predicate;
+use lake_store::predicate::{self, Predicate};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -167,22 +167,14 @@ impl<'a> LakeTable<'a> {
         for (path, _) in &snap.files {
             let bytes = self.log.run_retry(|| self.store.get(path))?;
             // Data skipping: equality predicates vs min/max.
-            let fstats = columnar::read_stats(&bytes)?;
-            let skip = predicates.iter().any(|p| {
-                p.op == lake_store::predicate::CompareOp::Eq
-                    && fstats
-                        .iter()
-                        .find(|s| s.name == p.attribute)
-                        .is_some_and(|s| s.can_skip_eq(&p.value))
-            });
-            if skip {
+            if predicate::stats_rule_out(&columnar::read_stats(&bytes)?, predicates) {
                 stats.files_skipped += 1;
                 continue;
             }
             // Second pruning stage: Bloom sidecars catch in-range misses.
             let eq_preds: Vec<&Predicate> = predicates
                 .iter()
-                .filter(|p| p.op == lake_store::predicate::CompareOp::Eq)
+                .filter(|p| p.op == predicate::CompareOp::Eq)
                 .collect();
             if !eq_preds.is_empty() {
                 let bloom_key = format!("{path}.bloom");
@@ -203,15 +195,7 @@ impl<'a> LakeTable<'a> {
             }
             stats.files_read += 1;
             let t = columnar::decode(&bytes)?;
-            let filtered = t.filter(|row| {
-                predicates.iter().all(|p| {
-                    t.column_index(&p.attribute)
-                        .and_then(|i| row.get(i))
-                        .map(|v| p.matches(v))
-                        .unwrap_or(false)
-                })
-            });
-            rows.extend(filtered.iter_rows());
+            rows.extend(predicate::matching_rows(&t, predicates).into_iter().map(|i| t.row(i)));
         }
         Ok((rows, stats))
     }
@@ -278,37 +262,25 @@ impl<'a> LakeTable<'a> {
         let snap = self.log.snapshot()?;
         let mut actions = Vec::new();
         let mut deleted = 0usize;
-        for (path, rows) in &snap.files {
+        for (path, _) in &snap.files {
             let bytes = self.log.run_retry(|| self.store.get(path))?;
             // Skip files whose stats prove no row matches an Eq predicate.
-            let fstats = columnar::read_stats(&bytes)?;
-            let skip = predicates.iter().any(|p| {
-                p.op == lake_store::predicate::CompareOp::Eq
-                    && fstats
-                        .iter()
-                        .find(|s| s.name == p.attribute)
-                        .is_some_and(|s| s.can_skip_eq(&p.value))
-            });
-            if skip {
+            if predicate::stats_rule_out(&columnar::read_stats(&bytes)?, predicates) {
                 continue;
             }
             let t = columnar::decode(&bytes)?;
-            let kept = t.filter(|row| {
-                !predicates.iter().all(|p| {
-                    t.column_index(&p.attribute)
-                        .and_then(|i| row.get(i))
-                        .map(|v| p.matches(v))
-                        .unwrap_or(false)
-                })
-            });
-            // Saturating: a corrupt log row count must not abort the delete.
-            let removed_here = rows.saturating_sub(kept.num_rows());
-            if removed_here == 0 {
+            let doomed = predicate::matching_rows(&t, predicates);
+            if doomed.is_empty() {
                 continue;
             }
-            deleted += removed_here;
+            deleted += doomed.len();
             actions.push(Action::RemoveFile { path: path.clone() });
-            if kept.num_rows() > 0 {
+            // The rows that stay are the complement of the ascending matches.
+            let mut next_doomed = doomed.iter().peekable();
+            let stay: Vec<usize> =
+                (0..t.num_rows()).filter(|i| next_doomed.next_if_eq(&i).is_none()).collect();
+            if !stay.is_empty() {
+                let kept = Table::from_columns(t.name.clone(), predicate::gather(&t, &stay, None))?;
                 let key = self.new_file_key();
                 let body = columnar::encode(&kept);
                 self.log.run_retry(|| self.store.put(&key, &body))?;

@@ -10,7 +10,7 @@
 
 use crate::mapping::IntegratedSchema;
 use lake_core::{Column, Result, Table, Value};
-use lake_store::predicate::Predicate;
+use lake_store::predicate::{self, Predicate};
 use lake_store::relational::RelationalStore;
 
 /// A query against the integrated schema.
@@ -106,30 +106,25 @@ pub fn execute(
     for sq in &subqueries {
         let src = store.get_table(&sq.table)?;
         // Resolve '#idx' placeholders to real column names.
-        let col_name = |ph: &str| -> String {
-            let idx: usize = ph.trim_start_matches('#').parse().expect("placeholder");
-            src.columns()[idx].name.clone()
+        let col_name = |ph: &str| -> Result<&str> {
+            let idx = ph.strip_prefix('#').and_then(|i| i.parse::<usize>().ok());
+            idx.and_then(|i| src.columns().get(i)).map(|c| c.name.as_str()).ok_or_else(|| {
+                lake_core::LakeError::query(format!("bad column placeholder {ph} for {}", sq.table))
+            })
         };
-        let columns: Vec<String> = sq.columns.iter().map(|c| col_name(c)).collect();
-        let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+        let columns: Vec<&str> = sq.columns.iter().map(|c| col_name(c)).collect::<Result<_>>()?;
         let preds: Vec<Predicate> = sq
             .pushed
             .iter()
-            .map(|p| Predicate { attribute: col_name(&p.attribute), op: p.op, value: p.value.clone() })
-            .collect();
+            .map(|p| Ok(Predicate::new(col_name(&p.attribute)?, p.op, p.value.clone())))
+            .collect::<Result<_>>()?;
         let rows = if pushdown {
-            store.scan(&sq.table, &preds, Some(&col_refs))?
+            store.scan(&sq.table, &preds, Some(&columns))?
         } else {
             // Baseline: ship everything, filter at the mediator.
             let full = store.scan(&sq.table, &[], None)?;
-            let filtered = full.filter(|row| {
-                preds.iter().all(|p| {
-                    full.column_index(&p.attribute)
-                        .map(|i| p.matches(row[i]))
-                        .unwrap_or(false)
-                })
-            });
-            filtered.project(&col_refs)?
+            let hits = predicate::matching_rows(&full, &preds);
+            Table::from_columns(full.name.clone(), predicate::gather(&full, &hits, Some(&columns)))?
         };
         merged.extend(rows.iter_rows());
     }
@@ -230,6 +225,22 @@ mod tests {
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         let q = IntegratedQuery { select: vec!["nope".into()], filters: vec![] };
         assert!(execute(&schema, &store, &refs, &q, true).is_err());
+    }
+
+    #[test]
+    fn a_store_table_narrower_than_the_schema_is_a_query_error() {
+        let (schema, store, names) = setup();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        // The schema was built over three columns; the store's copy has one.
+        store.put_table(Table::from_rows("us_orders", &["customerid"], vec![]).unwrap());
+        let q = IntegratedQuery {
+            select: vec!["customer_id".into()],
+            filters: vec![Predicate::new("total", CompareOp::Gt, 50.0)],
+        };
+        for pushdown in [true, false] {
+            let r = execute(&schema, &store, &refs, &q, pushdown);
+            assert!(matches!(r, Err(lake_core::LakeError::Query(_))), "{r:?}");
+        }
     }
 
     #[test]

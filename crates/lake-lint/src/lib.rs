@@ -156,8 +156,9 @@ impl fmt::Display for Finding {
 /// and lake-sched, whose event loop must drain every schedule it is handed.
 /// The columnar execution spine is covered file-by-file: the dictionary
 /// batch kernels, the parquet-lite codec, and incremental index
-/// maintenance all run inside every profiling/ingest hot loop, and D³L's
-/// per-column state is rebuilt on that maintenance path.
+/// maintenance all run inside every profiling/ingest hot loop, D³L's
+/// per-column state is rebuilt on that maintenance path, and the predicate
+/// evaluators are the inner loop of every store, mediator and lakehouse scan.
 pub const HOT_PATHS: &[&str] = &[
     "crates/lake-core/src/batch.rs",
     "crates/lake-discovery/src/d3l.rs",
@@ -167,6 +168,7 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/lake-obs/src/",
     "crates/lake-sched/src/",
     "crates/lake-server/src/",
+    "crates/lake-store/src/predicate.rs",
 ];
 
 /// Directory names whose contents are exempt from source lints.

@@ -201,8 +201,8 @@ fn tokenize(text: &str) -> Vec<String> {
                     toks.push(std::mem::take(&mut cur));
                 }
                 let mut op = String::from(c);
-                if matches!(chars.peek(), Some('=' | '>')) {
-                    op.push(chars.next().expect("peeked"));
+                if let Some(second) = chars.next_if(|n| matches!(n, '=' | '>')) {
+                    op.push(second);
                 }
                 toks.push(op);
             }

@@ -12,7 +12,11 @@
 //!   the object store);
 //! * queries ([`crate::ast::Query`]) are decomposed into per-source plans;
 //! * predicates are evaluated inside each source when `pushdown` is on
-//!   (the measurable E9 toggle), or at the mediator otherwise;
+//!   (the measurable E9 toggle), or at the mediator otherwise — by the
+//!   same [`lake_store::predicate`] evaluators either way, so the toggle
+//!   moves the data-movement count, never the answer;
+//! * each source hands the mediator the selected *columns*, which are
+//!   appended column to column (DESIGN.md §11a);
 //! * SPARQL-like triple patterns pass through to the graph store.
 //!
 //! With a [`DegradationConfig`] attached ([`FederatedEngine::with_degradation`])
@@ -33,7 +37,8 @@ use lake_core::retry::{retry_with_stats, Clock, RetryStats, SystemClock};
 use lake_core::{Column, Json, LakeError, Result, Table, Value};
 use lake_obs::{Counter, Histogram, MetricsRegistry, MICROS_TO_SECONDS};
 use lake_store::graphstore::TriplePattern;
-use lake_store::predicate::Predicate;
+use lake_formats::columnar;
+use lake_store::predicate::{self, Predicate};
 use lake_store::{Polystore, StoreKind};
 use std::collections::BTreeMap;
 use lake_core::sync::{rank, OrderedMutex};
@@ -251,14 +256,12 @@ impl<'a> FederatedEngine<'a> {
 
         let q_start = self.clock.now_micros();
         for src in sources {
-            if let Some(rows) =
+            if let Some(cols) =
                 self.consult(src, &select, &query.filters, pushdown, q_start, &mut stats)?
             {
                 stats.completeness.sources_ok += 1;
-                for row in rows {
-                    for (c, v) in out_cols.iter_mut().zip(row) {
-                        c.values.push(v);
-                    }
+                for (out, mut col) in out_cols.iter_mut().zip(cols) {
+                    out.values.append(&mut col.values);
                 }
             }
         }
@@ -271,18 +274,13 @@ impl<'a> FederatedEngine<'a> {
                 obs.partial_total.inc();
             }
         }
-        let mut t = Table::from_columns(query.table.clone(), out_cols)?;
         if let Some(limit) = query.limit {
-            let mut i = 0;
-            t = t.filter(|_| {
-                i += 1;
-                i <= limit
-            });
+            out_cols.iter_mut().for_each(|c| c.values.truncate(limit));
         }
-        Ok((t, stats))
+        Ok((Table::from_columns(query.table.clone(), out_cols)?, stats))
     }
 
-    /// Consult one source through the degradation ladder. `Ok(Some(rows))`
+    /// Consult one source through the degradation ladder. `Ok(Some(columns))`
     /// merges; `Ok(None)` means the source was skipped and recorded in
     /// `stats.completeness`; `Err` aborts the query (no degradation
     /// configured, or strict mode).
@@ -294,7 +292,7 @@ impl<'a> FederatedEngine<'a> {
         pushdown: bool,
         q_start_us: u64,
         stats: &mut ExecStats,
-    ) -> Result<Option<Vec<Vec<Value>>>> {
+    ) -> Result<Option<Vec<Column>>> {
         let Some(cfg) = self.degradation.as_ref() else {
             // No degradation: fail-fast, but faults still intercept so
             // the decorator works standalone.
@@ -302,9 +300,9 @@ impl<'a> FederatedEngine<'a> {
             let started = self.clock.now_micros();
             let fetched = self.intercepted_fetch(src, select, filters, pushdown);
             self.observe_source(src.store, started);
-            let (rows, moved) = fetched?;
+            let (cols, moved) = fetched?;
             stats.rows_moved += moved;
-            return Ok(Some(rows));
+            return Ok(Some(cols));
         };
 
         // 1. Total budget: sources not reached before the deadline are
@@ -359,7 +357,7 @@ impl<'a> FederatedEngine<'a> {
                 self.export_breaker(&src.location, state);
                 self.skip(src, SkipReason::Failed, cfg, stats, e)
             }
-            Ok((rows, moved)) => {
+            Ok((cols, moved)) => {
                 stats.rows_moved += moved;
                 let late = cfg
                     .budget
@@ -394,7 +392,7 @@ impl<'a> FederatedEngine<'a> {
                         true,
                     );
                     self.export_breaker(&src.location, state);
-                    Ok(Some(rows))
+                    Ok(Some(cols))
                 }
             }
         }
@@ -408,7 +406,7 @@ impl<'a> FederatedEngine<'a> {
         cfg: &DegradationConfig,
         stats: &mut ExecStats,
         err: LakeError,
-    ) -> Result<Option<Vec<Vec<Value>>>> {
+    ) -> Result<Option<Vec<Column>>> {
         if cfg.strict {
             return Err(err);
         }
@@ -438,164 +436,81 @@ impl<'a> FederatedEngine<'a> {
         select: &[String],
         filters: &[Predicate],
         pushdown: bool,
-    ) -> Result<(Vec<Vec<Value>>, usize)> {
+    ) -> Result<(Vec<Column>, usize)> {
         if let Some(f) = &self.faults {
             f.intercept(&src.location, self.clock.as_ref())?;
         }
         self.fetch(src, select, filters, pushdown)
     }
 
-    /// Fetch rows from one source; returns `(rows, rows_moved)` where the
-    /// second component is the E9 data-movement count for this subquery.
+    /// Fetch from one source; returns the selected columns, in `select`
+    /// order, and the E9 data-movement count for this subquery: the rows
+    /// the source ships — the matching ones when it evaluates the filters
+    /// itself (`pushdown`), every one it holds when the mediator does.
     fn fetch(
         &self,
         src: &SourceBinding,
         select: &[String],
         filters: &[Predicate],
         pushdown: bool,
-    ) -> Result<(Vec<Vec<Value>>, usize)> {
+    ) -> Result<(Vec<Column>, usize)> {
         // Map mediated attribute → source attribute.
-        let map_attr = |a: &str| -> Result<String> {
+        let map_attr = |a: &str| -> Result<&str> {
             src.columns
                 .get(a)
-                .cloned()
+                .map(String::as_str)
                 .ok_or_else(|| LakeError::query(format!("source {} lacks attribute {a}", src.location)))
         };
         let mapped_filters: Vec<Predicate> = filters
             .iter()
-            .map(|p| {
-                Ok(Predicate {
-                    attribute: map_attr(&p.attribute)?,
-                    op: p.op,
-                    value: p.value.clone(),
-                })
-            })
+            .map(|p| Ok(Predicate::new(map_attr(&p.attribute)?, p.op, p.value.clone())))
             .collect::<Result<_>>()?;
-        let mapped_select: Vec<String> =
-            select.iter().map(|s| map_attr(s)).collect::<Result<_>>()?;
+        let mapped_select: Vec<&str> = select.iter().map(|s| map_attr(s)).collect::<Result<_>>()?;
+        // Filter and project a table at the mediator (or, for a pushed-down
+        // file, at the source-side service standing in front of it).
+        let select_from = |t: &Table| {
+            let rows = predicate::matching_rows(t, &mapped_filters);
+            (predicate::gather(t, &rows, Some(&mapped_select)), rows.len())
+        };
 
         match src.store {
+            StoreKind::Relational if pushdown => {
+                let relational = &self.store.relational;
+                let t = relational.scan(&src.location, &mapped_filters, Some(&mapped_select))?;
+                Ok((t.columns().to_vec(), t.num_rows()))
+            }
             StoreKind::Relational => {
-                let refs: Vec<&str> = mapped_select.iter().map(String::as_str).collect();
-                let t = if pushdown {
-                    self.store.relational.scan(&src.location, &mapped_filters, Some(&refs))?
-                } else {
-                    self.store.relational.scan(&src.location, &[], None)?
-                };
-                let moved = t.num_rows();
-                let rows: Vec<Vec<Value>> = if pushdown {
-                    t.iter_rows().collect()
-                } else {
-                    // Mediator-side filtering + projection. Column
-                    // positions are fixed for the whole table, so resolve
-                    // each name once instead of per row.
-                    let full = t;
-                    let filter_idx: Vec<Option<usize>> = mapped_filters
-                        .iter()
-                        .map(|p| full.column_index(&p.attribute))
-                        .collect();
-                    let select_idx: Vec<Option<usize>> =
-                        mapped_select.iter().map(|c| full.column_index(c)).collect();
-                    full.iter_rows()
-                        .filter(|row| {
-                            mapped_filters.iter().zip(&filter_idx).all(|(p, i)| {
-                                i.map(|i| p.matches(&row[i])).unwrap_or(false)
-                            })
-                        })
-                        .map(|row| {
-                            select_idx
-                                .iter()
-                                .map(|i| i.map(|i| row[i].clone()).unwrap_or(Value::Null))
-                                .collect()
-                        })
-                        .collect()
-                };
-                Ok((rows, moved))
+                let t = self.store.relational.scan(&src.location, &[], None)?;
+                Ok((select_from(&t).0, t.num_rows()))
             }
             StoreKind::Document => {
-                let docs: Vec<Json> = if pushdown {
-                    self.store.documents.find(&src.location, &mapped_filters)?
-                } else {
-                    let all = self.store.documents.find(&src.location, &[])?;
-                    all.into_iter()
-                        .filter(|d| {
-                            mapped_filters.iter().all(|p| {
-                                d.path(&p.attribute)
-                                    .map(|j| p.matches(&j.to_value()))
-                                    .unwrap_or(false)
-                            })
-                        })
-                        .collect()
-                };
-                let moved = if pushdown {
-                    docs.len()
-                } else {
-                    self.store.documents.count(&src.location)
-                };
-                Ok((
-                    docs.into_iter()
-                        .map(|d| {
-                            mapped_select
-                                .iter()
-                                .map(|p| d.path(p).map(Json::to_value).unwrap_or(Value::Null))
-                                .collect()
-                        })
-                        .collect(),
-                    moved,
-                ))
+                let pushed: &[Predicate] = if pushdown { &mapped_filters } else { &[] };
+                let mut docs = self.store.documents.find(&src.location, pushed)?;
+                let moved = docs.len();
+                if !pushdown {
+                    docs.retain(|d| predicate::document_matches(d, &mapped_filters));
+                }
+                let cell = |d: &Json, path: &str| d.path(path).map_or(Value::Null, Json::to_value);
+                let cols = mapped_select
+                    .iter()
+                    .map(|path| Column::new(*path, docs.iter().map(|d| cell(d, path)).collect()))
+                    .collect();
+                Ok((cols, moved))
             }
             StoreKind::File => {
                 // Columnar files: data skipping via stats when pushing down.
                 let bytes = self.store.files.get(&src.location)?;
-                if pushdown {
-                    let file_stats = lake_formats::columnar::read_stats(&bytes)?;
-                    let skippable = mapped_filters.iter().any(|p| {
-                        p.op == lake_store::predicate::CompareOp::Eq
-                            && file_stats
-                                .iter()
-                                .find(|s| s.name == p.attribute)
-                                .is_some_and(|s| s.can_skip_eq(&p.value))
-                    });
-                    if skippable {
-                        return Ok((Vec::new(), 0)); // pruned without decoding
-                    }
+                if pushdown
+                    && predicate::stats_rule_out(&columnar::read_stats(&bytes)?, &mapped_filters)
+                {
+                    return Ok((Vec::new(), 0)); // pruned without decoding
                 }
-                let t = lake_formats::columnar::decode(&bytes)?;
-                let mut moved = 0usize;
-                if !pushdown {
-                    // Without pushdown the whole file ships to the
-                    // mediator; with it, a source-side service (Ontario's
-                    // Spark connector for HDFS files) filters first, so
-                    // only matching rows count as moved (added below).
-                    moved += t.num_rows();
-                }
-                // Resolve filter/projection positions once, not per row.
-                let filter_idx: Vec<Option<usize>> = mapped_filters
-                    .iter()
-                    .map(|p| t.column_index(&p.attribute))
-                    .collect();
-                let filtered = t.filter(|row| {
-                    mapped_filters.iter().zip(&filter_idx).all(|(p, i)| {
-                        i.map(|i| p.matches(row[i])).unwrap_or(false)
-                    })
-                });
-                if pushdown {
-                    moved += filtered.num_rows();
-                }
-                let select_idx: Vec<Option<usize>> =
-                    mapped_select.iter().map(|c| filtered.column_index(c)).collect();
-                Ok((
-                    filtered
-                        .iter_rows()
-                        .map(|row| {
-                            select_idx
-                                .iter()
-                                .map(|i| i.map(|i| row[i].clone()).unwrap_or(Value::Null))
-                                .collect()
-                        })
-                        .collect(),
-                    moved,
-                ))
+                let t = columnar::decode(&bytes)?;
+                let (cols, matched) = select_from(&t);
+                // Without pushdown the whole file ships to the mediator;
+                // with it, a source-side service (Ontario's Spark connector
+                // for HDFS files) filters first, so only matching rows move.
+                Ok((cols, if pushdown { matched } else { t.num_rows() }))
             }
             StoreKind::Graph => Err(LakeError::query(
                 "graph sources are queried via triple patterns (see sparql)",
@@ -685,37 +600,31 @@ impl<'a> FederatedEngine<'a> {
                 hash.entry(key).or_default().push(i);
             }
         }
-        let mut cols: Vec<Column> = query
-            .select
-            .iter()
-            .map(|s| Column::new(s.clone(), Vec::new()))
-            .collect();
-        // When resolving a selected name, prefer the left table; the ON
-        // column of each side sits at index 0 and must not shadow a
-        // same-named payload column.
-        let resolve = |t: &Table, name: &str, on_attr: &str, row: usize| -> Option<Value> {
-            t.column_index(name)
-                .filter(|&i| i != 0 || name == on_attr)
-                .map(|i| t.columns()[i].values[row].clone())
-        };
-        let mut emitted = 0usize;
-        'outer: for pi in 0..probe.num_rows() {
-            let key = &probe.columns()[0].values[pi];
-            let Some(matches) = hash.get(key) else { continue };
-            for &bi in matches {
-                let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
-                for (c, name) in cols.iter_mut().zip(&query.select) {
-                    let v = resolve(&lt, name, &query.on.0, li)
-                        .or_else(|| resolve(&rt, name, &query.on.1, ri))
-                        .unwrap_or(Value::Null);
-                    c.values.push(v);
+        // Probe for the matching (left row, right row) pairs, then fill each
+        // output column from the one side that carries its name (the left
+        // table wins a name both carry), resolved once per column.
+        let limit = query.limit.unwrap_or(usize::MAX);
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        'probe: for (pi, key) in probe.columns()[0].values.iter().enumerate() {
+            for &bi in hash.get(key).into_iter().flatten() {
+                if pairs.len() >= limit {
+                    break 'probe;
                 }
-                emitted += 1;
-                if query.limit.is_some_and(|l| emitted >= l) {
-                    break 'outer;
-                }
+                pairs.push(if build_left { (bi, pi) } else { (pi, bi) });
             }
         }
+        let cols: Vec<Column> = query
+            .select
+            .iter()
+            .map(|name| {
+                let values = match (lt.column(name), rt.column(name)) {
+                    (Some(c), _) => pairs.iter().map(|&(li, _)| c.values[li].clone()).collect(),
+                    (None, Some(c)) => pairs.iter().map(|&(_, ri)| c.values[ri].clone()).collect(),
+                    (None, None) => vec![Value::Null; pairs.len()],
+                };
+                Column::new(name.clone(), values)
+            })
+            .collect();
         let mut completeness = lstats.completeness.clone();
         completeness.merge(&rstats.completeness);
         let stats = ExecStats {
@@ -928,6 +837,84 @@ mod tests {
         let q = parse_query("select customer from orders where customer = 'zzz'").unwrap();
         let (t, _) = fe.execute(&q, true).unwrap();
         assert_eq!(t.num_rows(), 0);
+    }
+
+    /// The same four orders in all three stores, each behind its own
+    /// single-source mediated table.
+    fn one_source_per_store(ps: &Polystore) -> FederatedEngine<'_> {
+        let orders =
+            [("c1", "delft", 10), ("c2", "paris", 80), ("c3", "delft", 30), ("c4", "oslo", 70)];
+        let rows = orders
+            .iter()
+            .map(|&(c, city, t)| vec![Value::str(c), Value::str(city), Value::Int(t)])
+            .collect();
+        let t = Table::from_rows("same_rel", &["cust", "city", "total"], rows).unwrap();
+        ps.store_in(DatasetId(11), "same_file", Dataset::Table(t.clone()), StoreKind::File).unwrap();
+        ps.store(DatasetId(12), "same_rel", Dataset::Table(t)).unwrap();
+        let docs = orders
+            .iter()
+            .map(|(c, city, t)| {
+                let doc = format!(r#"{{"cust": "{c}", "addr": {{"city": "{city}"}}, "total": {t}}}"#);
+                lake_formats::json::parse(&doc).unwrap()
+            })
+            .collect();
+        ps.store(DatasetId(13), "same_docs", Dataset::Documents(docs)).unwrap();
+        let mut fe = FederatedEngine::new(ps);
+        for (store, location, city_path) in [
+            (StoreKind::Relational, "same_rel", "city"),
+            (StoreKind::Document, "same_docs", "addr.city"),
+            (StoreKind::File, "tables/same_file.pql", "city"),
+        ] {
+            let columns = [("customer", "cust"), ("city", city_path), ("total", "total")]
+                .map(|(mediated, source)| (mediated.to_string(), source.to_string()));
+            let binding = SourceBinding { store, location: location.into(), columns: columns.into() };
+            fe.register(&format!("{store:?}"), vec![binding]);
+        }
+        fe
+    }
+
+    #[test]
+    fn every_store_kind_and_pushdown_setting_gives_the_same_answer() {
+        let ps = Polystore::new();
+        let fe = one_source_per_store(&ps);
+        // (query tail, expected rows, rows_moved when pushed down)
+        let delft = vec![
+            vec![Value::str("c1"), Value::Int(10)],
+            vec![Value::str("c3"), Value::Int(30)],
+        ];
+        let cases = [
+            ("where city = 'delft'", delft, 2),
+            // 'zurich' lies above the file's max city: its stats prune it.
+            ("where city = 'zurich'", vec![], 0),
+            // 'milan' lies inside min/max, so the file is decoded and filtered.
+            ("where city = 'milan' and total > 5", vec![], 0),
+        ];
+        for (tail, expected, moved) in cases {
+            for table in ["Relational", "Document", "File"] {
+                let q = parse_query(&format!("select customer, total from {table} {tail}")).unwrap();
+                for pushdown in [true, false] {
+                    let (t, stats) = fe.execute(&q, pushdown).unwrap();
+                    let what = format!("{table} pushdown={pushdown} {tail}");
+                    assert_eq!(t.iter_rows().collect::<Vec<_>>(), expected, "{what}");
+                    assert_eq!(t.columns()[1].name, "total", "{what}");
+                    // Pushed down, only matches ship; otherwise the whole source.
+                    assert_eq!(stats.rows_moved, if pushdown { moved } else { 4 }, "{what}");
+                    assert_eq!(stats.subqueries, 1, "{what}");
+                    assert_eq!(stats.completeness.sources_ok, 1, "{what}");
+                }
+            }
+        }
+        // A limit cuts every column to the same length.
+        let q = parse_query("select customer, city, total from Document limit 3").unwrap();
+        assert_eq!(fe.execute(&q, false).unwrap().0.num_rows(), 3);
+        // …and a join stops at its limit, LIMIT 0 included.
+        for (limit, rows) in [(0, 0), (3, 3), (9, 4)] {
+            let text = format!(
+                "select total, city from Relational join File on customer = customer limit {limit}"
+            );
+            let q = crate::ast::parse_join_query(&text).unwrap();
+            assert_eq!(fe.execute_join(&q, true).unwrap().0.num_rows(), rows, "limit {limit}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! counter the relational store keeps, so push-down is measurable on this
 //! store too.
 
-use crate::predicate::Predicate;
+use crate::predicate::{self, Predicate};
 use lake_core::{Json, LakeError, Result};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -73,17 +73,7 @@ impl DocumentStore {
             .ok_or_else(|| LakeError::not_found(collection))?;
         // lint: ordering — push-down metric counter, no ordering dependency.
         self.docs_scanned.fetch_add(col.len() as u64, Ordering::Relaxed);
-        Ok(col
-            .iter()
-            .filter(|d| {
-                predicates.iter().all(|p| {
-                    d.path(&p.attribute)
-                        .map(|j| p.matches(&j.to_value()))
-                        .unwrap_or(false)
-                })
-            })
-            .cloned()
-            .collect())
+        Ok(col.iter().filter(|d| predicate::document_matches(d, predicates)).cloned().collect())
     }
 
     /// Delete all documents of a collection.

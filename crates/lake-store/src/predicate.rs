@@ -1,12 +1,18 @@
-//! Simple comparison predicates evaluated *inside* stores.
+//! Simple comparison predicates, and the one place they are evaluated.
 //!
 //! Federated query processing over a polystore pushes selection predicates
 //! down to the sources "to optimize query execution and reduce the amount
 //! of data to be loaded" (Constance, §6.3). This module is the common
 //! predicate language every store understands, making push-down effects
-//! directly measurable (experiment E9).
+//! directly measurable (experiment E9), and it holds the only evaluators
+//! of a conjunction: over a [`Table`] ([`matching_rows`], then [`gather`]),
+//! over a [`Json`] document ([`document_matches`]) and over a columnar
+//! file's statistics ([`stats_rule_out`]). Stores, the mediator and the
+//! lakehouse all call these, so a filter gives the same answer wherever
+//! it runs (DESIGN.md §11a).
 
-use lake_core::Value;
+use lake_core::{Column, Json, Table, Value};
+use lake_formats::columnar::ColumnStats;
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,6 +108,52 @@ impl std::fmt::Display for Predicate {
     }
 }
 
+/// Rows of `table`, ascending, that satisfy every predicate. Column
+/// positions are resolved once; a predicate on a column the table lacks
+/// matches nothing, and the empty conjunction matches every row.
+pub fn matching_rows(table: &Table, predicates: &[Predicate]) -> Vec<usize> {
+    let mut rows: Vec<usize> = (0..table.num_rows()).collect();
+    for p in predicates {
+        let Some(col) = table.column(&p.attribute) else { return Vec::new() };
+        rows.retain(|&i| col.values.get(i).is_some_and(|v| p.matches(v)));
+    }
+    rows
+}
+
+/// The given `rows` of the named `columns` (`None`: every column, by
+/// position). A named column the table lacks comes back all-`Null`.
+pub fn gather(table: &Table, rows: &[usize], columns: Option<&[&str]>) -> Vec<Column> {
+    let take = |name: &str, col: Option<&Column>| {
+        let cell = |&i: &usize| col.and_then(|c| c.values.get(i)).cloned().unwrap_or(Value::Null);
+        Column::new(name, rows.iter().map(cell).collect())
+    };
+    match columns {
+        Some(names) => names.iter().map(|n| take(n, table.column(n))).collect(),
+        None => table.columns().iter().map(|c| take(&c.name, Some(c))).collect(),
+    }
+}
+
+/// Whether `doc` satisfies every predicate, each attribute read as a
+/// dotted path. A missing path never matches.
+pub fn document_matches(doc: &Json, predicates: &[Predicate]) -> bool {
+    predicates
+        .iter()
+        .all(|p| doc.path(&p.attribute).is_some_and(|j| p.matches(&j.to_value())))
+}
+
+/// Whether a columnar file's per-column `stats` prove that no row can
+/// satisfy the conjunction: some `Eq` constant lies outside its column's
+/// min/max. Other operators and unknown columns rule nothing out.
+pub fn stats_rule_out(stats: &[ColumnStats], predicates: &[Predicate]) -> bool {
+    predicates.iter().any(|p| {
+        p.op == CompareOp::Eq
+            && stats
+                .iter()
+                .find(|s| s.name == p.attribute)
+                .is_some_and(|s| s.can_skip_eq(&p.value))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +191,157 @@ mod tests {
         }
         assert_eq!(CompareOp::parse("<>"), Some(CompareOp::Ne));
         assert_eq!(CompareOp::parse("~"), None);
+    }
+
+    const OPS: [CompareOp; 7] = [
+        CompareOp::Eq,
+        CompareOp::Ne,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+        CompareOp::Contains,
+    ];
+
+    /// The rule every scan used to spell out for itself, kept the slow way
+    /// as the reference: per row, per predicate, look the column up by name.
+    fn naive_rows(t: &Table, preds: &[Predicate]) -> Vec<usize> {
+        let holds = |p: &Predicate, i: usize| {
+            t.column(&p.attribute).is_some_and(|c| p.op.eval(&c.values[i], &p.value))
+        };
+        (0..t.num_rows()).filter(|&i| preds.iter().all(|p| holds(p, i))).collect()
+    }
+
+    fn naive_gather(t: &Table, rows: &[usize], names: &[&str]) -> Vec<Column> {
+        let cell = |n: &str, i: usize| t.column(n).map_or(Value::Null, |c| c.values[i].clone());
+        names
+            .iter()
+            .map(|n| Column::new(*n, rows.iter().map(|&i| cell(n, i)).collect()))
+            .collect()
+    }
+
+    /// Ints beside floats beside nulls, so that every operator meets every
+    /// kind of operand on either side.
+    fn mixed() -> Table {
+        Table::from_rows(
+            "mixed",
+            &["n", "s", "f"],
+            vec![
+                vec![Value::Int(1), Value::str("ab"), Value::Float(0.5)],
+                vec![Value::Float(2.0), Value::Null, Value::Float(2.5)],
+                vec![Value::Null, Value::str("b"), Value::Int(2)],
+                vec![Value::Int(3), Value::str("2"), Value::Null],
+                vec![Value::Int(2), Value::str("abc"), Value::Float(-1.0)],
+            ],
+        )
+        .unwrap()
+    }
+
+    fn single_predicates() -> Vec<Predicate> {
+        let constants =
+            [Value::Int(2), Value::Float(2.0), Value::Float(2.5), Value::str("b"), Value::Null];
+        let mut out = Vec::new();
+        for attribute in ["n", "s", "f", "missing"] {
+            for op in OPS {
+                for value in constants.clone() {
+                    out.push(Predicate { attribute: attribute.to_string(), op, value });
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matching_rows_agrees_with_the_naive_reference() {
+        let t = mixed();
+        let singles = single_predicates();
+        let mut some_match = 0;
+        for p in &singles {
+            let got = matching_rows(&t, std::slice::from_ref(p));
+            assert_eq!(got, naive_rows(&t, std::slice::from_ref(p)), "{p}");
+            some_match += usize::from(!got.is_empty());
+            if p.attribute == "missing" || p.value.is_null() {
+                assert!(got.is_empty(), "{p} must match nothing");
+            }
+        }
+        assert!(some_match > 40, "the table must exercise the operators: {some_match}");
+        // Conjunctions: every pair drawn from a spread of the singles.
+        let spread: Vec<&Predicate> = singles.iter().step_by(7).collect();
+        for a in &spread {
+            for b in &spread {
+                let both = [(*a).clone(), (*b).clone()];
+                assert_eq!(matching_rows(&t, &both), naive_rows(&t, &both), "{a} and {b}");
+            }
+        }
+        assert_eq!(matching_rows(&t, &[]), vec![0, 1, 2, 3, 4], "the empty conjunction");
+    }
+
+    #[test]
+    fn gather_projects_by_name_and_nulls_a_missing_column() {
+        let t = mixed();
+        let rows = matching_rows(&t, &[Predicate::new("n", CompareOp::Ge, 2i64)]);
+        assert_eq!(rows, vec![1, 3, 4]);
+        let names = ["s", "missing", "n", "s"];
+        let got = gather(&t, &rows, Some(&names));
+        assert_eq!(got, naive_gather(&t, &rows, &names));
+        assert_eq!(got[1].values, vec![Value::Null; 3]);
+        // No projection: every column, in table order.
+        assert_eq!(gather(&t, &[0, 1, 2, 3, 4], None), t.columns());
+        assert_eq!(gather(&t, &rows, None), naive_gather(&t, &rows, &["n", "s", "f"]));
+        assert!(gather(&t, &rows, Some(&[])).is_empty());
+    }
+
+    #[test]
+    fn tables_without_rows_or_columns() {
+        let no_rows = Table::from_rows("r", &["n"], vec![]).unwrap();
+        let no_cols = Table::empty("c");
+        let p = [Predicate::new("n", CompareOp::Eq, 1i64)];
+        for t in [&no_rows, &no_cols] {
+            assert!(matching_rows(t, &[]).is_empty());
+            assert!(matching_rows(t, &p).is_empty());
+            assert_eq!(gather(t, &[], Some(&["n"])), vec![Column::new("n", vec![])]);
+        }
+        assert_eq!(gather(&no_rows, &[], None), no_rows.columns());
+        assert!(gather(&no_cols, &[], None).is_empty());
+    }
+
+    #[test]
+    fn stats_rule_out_only_what_min_max_disprove() {
+        let ids = Column::new("id", (10..20).map(Value::Int).collect());
+        let nulls = Column::new("gone", vec![Value::Null; 3]);
+        let stats = [ColumnStats::of(&ids), ColumnStats::of(&nulls)];
+        let eq = |col: &str, v: i64| Predicate::new(col, CompareOp::Eq, v);
+        assert!(!stats_rule_out(&stats, &[eq("id", 10), eq("id", 19)]), "in range");
+        assert!(stats_rule_out(&stats, &[eq("id", 9)]), "below min");
+        assert!(stats_rule_out(&stats, &[eq("id", 15), eq("id", 20)]), "one conjunct suffices");
+        assert!(stats_rule_out(&stats, &[eq("gone", 1)]), "an all-null column equals nothing");
+        assert!(!stats_rule_out(&stats, &[eq("other", 99)]), "unknown column");
+        assert!(!stats_rule_out(&stats, &[]), "empty conjunction");
+        for op in OPS.into_iter().filter(|op| *op != CompareOp::Eq) {
+            assert!(!stats_rule_out(&stats, &[Predicate::new("id", op, 99i64)]), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn document_matches_reads_dotted_paths() {
+        let doc = Json::obj(vec![
+            ("name", Json::str("ada")),
+            ("address", Json::obj(vec![("city", Json::str("delft"))])),
+            ("age", Json::Num(36.0)),
+            ("left", Json::Null),
+        ]);
+        let city = Predicate::new("address.city", CompareOp::Eq, "delft");
+        let adult = Predicate::new("age", CompareOp::Ge, 18i64);
+        assert!(document_matches(&doc, &[]));
+        assert!(document_matches(&doc, &[city.clone(), adult.clone()]));
+        let minor = Predicate::new("age", CompareOp::Lt, 18i64);
+        assert!(!document_matches(&doc, &[city.clone(), minor]));
+        for path in ["address.zip", "address.city.block", "nope", "left"] {
+            for op in OPS {
+                let p = Predicate::new(path, op, "delft");
+                assert!(!document_matches(&doc, &[adult.clone(), p.clone()]), "{p}");
+            }
+        }
     }
 
     #[test]

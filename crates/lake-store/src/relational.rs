@@ -7,7 +7,7 @@
 //! rows the store touched, and the scan result size is the data that would
 //! cross the wire.
 
-use crate::predicate::Predicate;
+use crate::predicate::{self, Predicate};
 use lake_core::{LakeError, Result, Row, Table};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -86,21 +86,15 @@ impl RelationalStore {
         // lint: ordering — push-down metric counter, no ordering dependency.
         self.rows_scanned.fetch_add(t.num_rows() as u64, Ordering::Relaxed);
 
-        // Resolve predicate column indexes once.
-        let idx: Vec<(usize, &Predicate)> = predicates
-            .iter()
-            .map(|p| {
-                t.column_index(&p.attribute)
-                    .map(|i| (i, p))
-                    .ok_or_else(|| LakeError::not_found(format!("column {} in {table}", p.attribute)))
-            })
-            .collect::<Result<_>>()?;
-
-        let filtered = t.filter(|row| idx.iter().all(|(i, p)| p.matches(row[*i])));
-        match columns {
-            Some(cols) => filtered.project(cols),
-            None => Ok(filtered),
+        // This store alone is strict: a query naming a column the table
+        // lacks is the caller's mistake, not an empty answer.
+        let filtered = predicates.iter().map(|p| p.attribute.as_str());
+        let projected = columns.into_iter().flatten().copied();
+        if let Some(c) = filtered.chain(projected).find(|c| t.column(c).is_none()) {
+            return Err(LakeError::not_found(format!("column {c} in {table}")));
         }
+        let rows = predicate::matching_rows(t, predicates);
+        Table::from_columns(t.name.clone(), predicate::gather(t, &rows, columns))
     }
 
     /// Rows inspected by all scans so far (the push-down metric).

@@ -1,13 +1,12 @@
-//! Dated benchmark trajectories: `BENCH_*.json` as append-only history.
+//! Dated benchmark trajectory: `BENCH_discovery.json` as append-only
+//! history.
 //!
-//! The experiment binaries used to overwrite their JSON artifact on
-//! every run, so the repo only ever held the latest numbers — a
-//! regression between two commits left no trace in the artifact itself.
-//! [`record`] turns each artifact into a canonical JSON array of
-//! `{"date", "report"}` entries: one entry per day, the latest run of a
-//! day replacing that day's entry, earlier days preserved verbatim. A
-//! legacy single-object artifact is migrated by wrapping it as a
-//! `"pre-trajectory"` entry, so no history is dropped on upgrade.
+//! Only a wall-clock series is worth a trajectory — a seed-pure report
+//! is the same on every run, and a test asserts it instead. [`record`]
+//! keeps the artifact a canonical JSON array of `{"date", "report"}`
+//! entries: one entry per day, the latest run of a day replacing that
+//! day's entry, earlier days preserved verbatim, so a regression between
+//! two commits leaves a trace in the artifact itself.
 //!
 //! The same determinism discipline as the trace/bench writers applies:
 //! the array is serialized, re-parsed, and re-serialized, and the two
@@ -67,9 +66,8 @@ pub fn record(path: &str, date: &str, report: &Json) -> Result<usize> {
     Ok(n)
 }
 
-/// Read the existing artifact: an array is a trajectory, a bare object
-/// is a legacy single-report artifact (wrapped so its numbers survive),
-/// a missing file is an empty history.
+/// Read the existing artifact: an array of entries; a missing file is an
+/// empty history.
 fn load_entries(path: &str) -> Result<Vec<Json>> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -77,12 +75,8 @@ fn load_entries(path: &str) -> Result<Vec<Json>> {
     };
     match lake_formats::json::parse(text.trim_end())? {
         Json::Array(entries) => Ok(entries),
-        legacy @ Json::Object(_) => Ok(vec![Json::obj(vec![
-            ("date", Json::str("pre-trajectory")),
-            ("report", legacy),
-        ])]),
         other => Err(LakeError::invalid(format!(
-            "trajectory artifact {path} holds neither an array nor an object: {other}"
+            "trajectory artifact {path} does not hold an array: {other}"
         ))),
     }
 }
@@ -126,19 +120,5 @@ mod tests {
         assert_eq!(entries[0].path("report.ok").unwrap(), &Json::Num(1.0));
         assert_eq!(entries[1].path("report.ok").unwrap(), &Json::Num(3.0));
         assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn legacy_single_object_artifacts_are_migrated() {
-        let path = tmp("legacy.json");
-        std::fs::write(&path, "{\"p50_us\":435}\n").unwrap();
-        let r = Json::obj(vec![("p50_us", Json::Num(440.0))]);
-        assert_eq!(record(&path, "2026-08-08", &r).unwrap(), 2);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let parsed = lake_formats::json::parse(text.trim_end()).unwrap();
-        let entries = parsed.as_array().unwrap();
-        assert_eq!(entries[0].path("date").unwrap().as_str(), Some("pre-trajectory"));
-        assert_eq!(entries[0].path("report.p50_us").unwrap(), &Json::Num(435.0));
-        assert_eq!(entries[1].path("report.p50_us").unwrap(), &Json::Num(440.0));
     }
 }

@@ -19,8 +19,9 @@
 //!
 //! The same contract is enforced statically by lake-lint rule 6
 //! (`lock-order`), which parses the [`rank`] constants below as its
-//! declared order; the chaos suites (`scripts/chaos.sh`) exercise the
-//! runtime half under seeds 7/42/1337. The sanitizer panics through
+//! declared order; the chaos suites (`tests/chaos.rs` of `lake-house`,
+//! `lake-query` and `lake-server`) exercise the runtime half under seeds
+//! 7/42/1337. The sanitizer panics through
 //! [`std::panic::panic_any`] — a deliberate, typed abort, not an
 //! accidental `panic!` — so the panic-freedom lint stays meaningful for
 //! library code.

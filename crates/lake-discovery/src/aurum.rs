@@ -20,7 +20,7 @@
 //! ([`Aurum::similar_content_to`] etc.) back the SRQL-like query language
 //! in `lake-query`.
 
-use crate::corpus::{ColumnRef, TableCorpus, SIGNATURE_LEN};
+use crate::corpus::{ColumnProfile, ColumnRef, TableCorpus, SIGNATURE_LEN};
 use crate::{DiscoverySystem, SystemInfo};
 use lake_core::par::{self, Parallelism};
 use lake_index::lsh::LshIndex;
@@ -207,24 +207,12 @@ impl Aurum {
             self.pending_changes[pi] = 0.0;
             self.reprofile_count += 1;
             // Re-read just this column and rebuild its LSH entry.
-            self.rebuild_profile_entry(corpus, pi);
+            if let Some(lsh) = &mut self.lsh {
+                upsert_signature(lsh, pi, &corpus.profiles()[pi]);
+            }
             true
         } else {
             false
-        }
-    }
-
-    fn rebuild_profile_entry(&mut self, corpus: &TableCorpus, pi: usize) {
-        if let Some(lsh) = &mut self.lsh {
-            let p = &corpus.profiles()[pi];
-            if p.signature.is_empty_domain() {
-                // A column that became all-null leaves the index: its
-                // sentinel signature would collide with every other empty
-                // column in every band.
-                lsh.remove(pi);
-            } else {
-                lsh.insert(pi, p.signature.clone());
-            }
         }
     }
 
@@ -282,6 +270,33 @@ impl Aurum {
     }
 }
 
+/// The LSH index over column signatures that Aurum's EKG and
+/// [`crate::IncrementalDiscovery`] share, keyed by profile index. Band
+/// hashing fans out over `par` workers. Empty-domain (all-null) columns
+/// are never indexed: their sentinel signatures collide with each other
+/// in every band and would fabricate cliques.
+pub(crate) fn signature_lsh(profiles: &[ColumnProfile], par: Parallelism) -> LshIndex {
+    let mut lsh = LshIndex::new(SIGNATURE_LEN / 4, 4);
+    let items = profiles
+        .iter()
+        .enumerate()
+        .filter(|(_, p)| !p.signature.is_empty_domain())
+        .map(|(i, p)| (i, p.signature.clone()))
+        .collect();
+    lsh.insert_batch(items, par);
+    lsh
+}
+
+/// The delta of [`signature_lsh`] for one re-profiled column: replace its
+/// entry, or drop it when the column became all-null.
+pub(crate) fn upsert_signature(lsh: &mut LshIndex, pi: usize, profile: &ColumnProfile) {
+    if profile.signature.is_empty_domain() {
+        lsh.remove(pi);
+    } else {
+        lsh.insert(pi, profile.signature.clone());
+    }
+}
+
 impl DiscoverySystem for Aurum {
     fn info(&self) -> SystemInfo {
         SystemInfo {
@@ -298,18 +313,8 @@ impl DiscoverySystem for Aurum {
         self.adjacency = vec![Vec::new(); profiles.len()];
         self.pending_changes = vec![0.0; profiles.len()];
 
-        // Content edges via LSH candidate pairs (near-linear). Band
-        // hashing fans out over workers; empty-domain (all-null) columns
-        // are never indexed — their sentinel signatures collide with each
-        // other in every band and would fabricate cliques.
-        let mut lsh = LshIndex::new(SIGNATURE_LEN / 4, 4);
-        let items: Vec<(usize, lake_index::minhash::MinHash)> = profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.signature.is_empty_domain())
-            .map(|(i, p)| (i, p.signature.clone()))
-            .collect();
-        lsh.insert_batch(items, self.par);
+        // Content edges via LSH candidate pairs (near-linear).
+        let lsh = signature_lsh(profiles, self.par);
         // Jaccard estimation per candidate pair is pure; edges are added
         // serially in pair order afterwards.
         let pairs = lsh.candidate_pairs();
@@ -355,7 +360,7 @@ impl DiscoverySystem for Aurum {
         // weaker (many lakes reuse attribute names across unrelated
         // sources), so they are discounted in the table-level ranking.
         let mut scores: Vec<(usize, f64)> = Vec::new();
-        for pi in corpus.table_profiles(query).filter_map(|p| corpus.profile_index(p.at)) {
+        for (pi, _) in corpus.table_columns(query) {
             for e in self.edges_of(pi) {
                 let w = match e.kind {
                     EdgeKind::Name => e.weight * 0.5,

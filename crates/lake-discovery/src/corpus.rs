@@ -283,7 +283,26 @@ impl TableCorpus {
 
     /// Profiles of one table's columns.
     pub fn table_profiles(&self, table: usize) -> impl Iterator<Item = &ColumnProfile> {
-        self.profiles.iter().filter(move |p| p.at.table == table)
+        self.table_columns(table).map(|(_, p)| p)
+    }
+
+    /// One table's columns as `(profile index, profile)`, in column order.
+    pub fn table_columns(&self, table: usize) -> impl Iterator<Item = (usize, &ColumnProfile)> {
+        self.profiles.iter().enumerate().filter(move |(_, p)| p.at.table == table)
+    }
+
+    /// Every `(query column, candidate column)` pair a table-level top-k
+    /// scores, each side as `(profile index, profile)`: the columns of
+    /// table `query` outermost, against every column of every other
+    /// table, both in profile order.
+    pub fn column_pairs(
+        &self,
+        query: usize,
+    ) -> impl Iterator<Item = ((usize, &ColumnProfile), (usize, &ColumnProfile))> {
+        self.table_columns(query).flat_map(move |q| {
+            let others = self.profiles.iter().enumerate().filter(move |(_, p)| p.at.table != query);
+            others.map(move |b| (q, b))
+        })
     }
 
     /// Profile of a specific column (O(1) map lookup).

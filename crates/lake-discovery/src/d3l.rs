@@ -238,24 +238,11 @@ impl DiscoverySystem for D3l {
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
-        let profiles = corpus.profiles();
-        let mut scores = Vec::new();
-        for (qi, _) in profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.at.table == query)
-        {
-            for (b, _) in profiles
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.at.table != query)
-            {
-                let feats = self.features(corpus, qi, b);
-                let d = self.distance(&feats);
-                // Convert distance to a similarity score for ranking.
-                scores.push((b, 1.0 / (1.0 + d)));
-            }
-        }
+        let scores = corpus.column_pairs(query).map(|((qi, _), (b, _))| {
+            let d = self.distance(&self.features(corpus, qi, b));
+            // Convert distance to a similarity score for ranking.
+            (b, 1.0 / (1.0 + d))
+        });
         corpus.aggregate_to_tables(query, scores, k)
     }
 }

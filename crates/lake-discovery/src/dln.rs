@@ -202,19 +202,10 @@ impl DiscoverySystem for Dln {
         if self.forest.is_none() {
             return Vec::new();
         }
-        let mut scores = Vec::new();
-        for qp in corpus.table_profiles(query) {
-            let qi = corpus.profile_index(qp.at).expect("exists");
-            for b in 0..corpus.profiles().len() {
-                if corpus.profiles()[b].at.table == query {
-                    continue;
-                }
-                let p = self.relatedness(corpus, qi, b);
-                if p > 0.5 {
-                    scores.push((b, p));
-                }
-            }
-        }
+        let scores = corpus
+            .column_pairs(query)
+            .map(|((qi, _), (b, _))| (b, self.relatedness(corpus, qi, b)))
+            .filter(|&(_, p)| p > 0.5);
         corpus.aggregate_to_tables(query, scores, k)
     }
 }

@@ -20,14 +20,15 @@
 //!
 //! Per-flush cost is O(changed columns), not O(corpus).
 
-use crate::corpus::{ColumnRef, TableCorpus, SIGNATURE_LEN};
+use crate::aurum::{signature_lsh, upsert_signature};
+use crate::corpus::{ColumnRef, TableCorpus};
 use crate::d3l::D3l;
+use crate::josie::Josie;
 use crate::DiscoverySystem;
-use lake_core::par::{self, Parallelism};
+use lake_core::par::Parallelism;
 use lake_core::{Result, Table};
 use lake_index::inverted::InvertedIndex;
 use lake_index::lsh::LshIndex;
-use lake_index::minhash::MinHash;
 use lake_ingest::stream::StreamIngestor;
 
 /// Discovery indexes maintained by delta application.
@@ -35,10 +36,8 @@ use lake_ingest::stream::StreamIngestor;
 pub struct IncrementalDiscovery {
     corpus: TableCorpus,
     lsh: LshIndex,
-    inverted: InvertedIndex,
+    josie: Josie,
     d3l: D3l,
-    /// Worker count for the initial (bulk) build.
-    par: Parallelism,
     /// Number of ingestor flushes absorbed so far.
     pub flushes_absorbed: usize,
 }
@@ -56,37 +55,12 @@ impl IncrementalDiscovery {
     /// indexed a given table.
     pub fn with_parallelism(tables: Vec<Table>, par: Parallelism) -> IncrementalDiscovery {
         let corpus = TableCorpus::with_parallelism(tables, par);
-        let profiles = corpus.profiles();
-
-        // LSH over non-empty-domain signatures (empty-domain sentinels
-        // collide in every band; Aurum's build skips them, so must we).
-        let mut lsh = LshIndex::new(SIGNATURE_LEN / 4, 4);
-        let items: Vec<(usize, MinHash)> = profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.signature.is_empty_domain())
-            .map(|(i, p)| (i, p.signature.clone()))
-            .collect();
-        lsh.insert_batch(items, par);
-
-        // Inverted index over column domains, sharded like `Josie::build`.
-        let shards = par::shards(profiles.len(), par.workers() * 4);
-        let built: Vec<InvertedIndex> = par::map(par, &shards, |&(lo, hi)| {
-            let mut shard = InvertedIndex::new();
-            for (pi, p) in profiles.iter().enumerate().take(hi).skip(lo) {
-                shard.insert_sorted(pi, p.domain.iter().cloned());
-            }
-            shard
-        });
-        let mut inverted = InvertedIndex::new();
-        for shard in built {
-            inverted.merge(shard);
-        }
-
+        let lsh = signature_lsh(corpus.profiles(), par);
+        let mut josie = Josie { par, ..Josie::default() };
+        josie.build(&corpus);
         let mut d3l = D3l::with_parallelism(par);
         d3l.build(&corpus);
-
-        IncrementalDiscovery { corpus, lsh, inverted, d3l, par, flushes_absorbed: 0 }
+        IncrementalDiscovery { corpus, lsh, josie, d3l, flushes_absorbed: 0 }
     }
 
     /// Insert-or-replace one table, re-profiling only its columns and
@@ -120,14 +94,8 @@ impl IncrementalDiscovery {
     fn apply_deltas(&mut self, changed: &[usize]) {
         for &pi in changed {
             let Some(p) = self.corpus.profiles().get(pi) else { continue };
-            if p.signature.is_empty_domain() {
-                // A column that became all-null leaves the LSH index —
-                // mirroring the bulk build's empty-domain filter.
-                self.lsh.remove(pi);
-            } else {
-                self.lsh.insert(pi, p.signature.clone());
-            }
-            self.inverted.insert_sorted(pi, &p.domain);
+            upsert_signature(&mut self.lsh, pi, p);
+            self.josie.insert_sorted(pi, &p.domain);
         }
         self.d3l.rebuild_profiles(&self.corpus, changed);
     }
@@ -144,17 +112,12 @@ impl IncrementalDiscovery {
 
     /// The maintained inverted index (token → profile ids).
     pub fn inverted(&self) -> &InvertedIndex {
-        &self.inverted
+        self.josie.index()
     }
 
     /// The maintained D³L system (current per-column representations).
     pub fn d3l(&self) -> &D3l {
         &self.d3l
-    }
-
-    /// The configured bulk-build parallelism.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
     }
 
     /// Columns likely joinable with `at` (LSH candidates verified by
@@ -174,7 +137,7 @@ impl IncrementalDiscovery {
     pub fn top_k_overlap(&self, at: ColumnRef, k: usize) -> Vec<(usize, usize)> {
         let Some(pi) = self.corpus.profile_index(at) else { return Vec::new() };
         let Some(p) = self.corpus.profiles().get(pi) else { return Vec::new() };
-        let mut hits = self.inverted.overlap_counts(p.domain.iter().cloned());
+        let mut hits = self.inverted().overlap_counts(p.domain.iter().cloned());
         hits.retain(|&(id, _)| id != pi);
         hits.truncate(k);
         hits

@@ -40,7 +40,7 @@ pub struct JosieStats {
 /// The JOSIE system over a corpus of column domains.
 #[derive(Debug, Default)]
 pub struct Josie {
-    index: InvertedIndex,
+    pub(crate) index: InvertedIndex,
     /// Worker count for posting construction in [`DiscoverySystem::build`].
     pub par: Parallelism,
 }
@@ -55,6 +55,17 @@ impl Josie {
     /// over raw web-table domains).
     pub fn insert_set(&mut self, id: usize, tokens: impl IntoIterator<Item = String>) {
         self.index.insert(id, tokens);
+    }
+
+    /// Insert or replace set `id` from an **already sorted, already
+    /// distinct** token list (a column profile's domain) — the delta of
+    /// [`DiscoverySystem::build`] for one re-profiled column, landing on
+    /// the index a rebuild would produce.
+    pub fn insert_sorted<T>(&mut self, id: usize, tokens: impl IntoIterator<Item = T>)
+    where
+        T: AsRef<str> + Into<String>,
+    {
+        self.index.insert_sorted(id, tokens);
     }
 
     /// Exact top-k sets by overlap with `query` tokens, with work stats.
@@ -274,10 +285,7 @@ impl DiscoverySystem for Josie {
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
         // Union the top-k joinable sets over each query column.
-        let exclude: Vec<usize> = corpus
-            .table_profiles(query)
-            .filter_map(|p| corpus.profile_index(p.at))
-            .collect();
+        let exclude: Vec<usize> = corpus.table_columns(query).map(|(pi, _)| pi).collect();
         let mut scores: Vec<(usize, f64)> = Vec::new();
         for p in corpus.table_profiles(query) {
             // A BTreeSet iterates sorted and distinct — straight to the

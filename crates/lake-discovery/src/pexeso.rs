@@ -107,22 +107,13 @@ impl DiscoverySystem for Pexeso {
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut scores = Vec::new();
-        for qp in corpus.table_profiles(query) {
-            if qp.dtype != lake_core::DataType::Str {
-                continue;
-            }
-            let qi = corpus.profile_index(qp.at).expect("profile exists");
-            for b in 0..corpus.profiles().len() {
-                if corpus.profiles()[b].at.table == query || self.grids[b].is_none() {
-                    continue;
-                }
-                let j = self.joinability(corpus, qi, b);
-                if j >= self.config.join_ratio {
-                    scores.push((b, j));
-                }
-            }
-        }
+        let scores = corpus
+            .column_pairs(query)
+            .filter(|((_, qp), (b, _))| {
+                qp.dtype == lake_core::DataType::Str && self.grids[*b].is_some()
+            })
+            .map(|((qi, _), (b, _))| (b, self.joinability(corpus, qi, b)))
+            .filter(|&(_, j)| j >= self.config.join_ratio);
         corpus.aggregate_to_tables(query, scores, k)
     }
 }

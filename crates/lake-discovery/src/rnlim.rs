@@ -125,21 +125,9 @@ impl DiscoverySystem for Rnlim {
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
-        let profiles = corpus.profiles();
-        let mut scores = Vec::new();
-        for (qi, _) in profiles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.at.table == query)
-        {
-            for (b, _) in profiles
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.at.table != query)
-            {
-                scores.push((b, self.relatedness(corpus, qi, b)));
-            }
-        }
+        let scores = corpus
+            .column_pairs(query)
+            .map(|((qi, _), (b, _))| (b, self.relatedness(corpus, qi, b)));
         corpus.aggregate_to_tables(query, scores, k)
     }
 }

@@ -18,7 +18,7 @@
 //! query's attributes, normalized by query arity (aligning more attributes
 //! is better — the "c-alignment" intuition).
 
-use crate::corpus::{ColumnProfile, TableCorpus};
+use crate::corpus::TableCorpus;
 use crate::{DiscoverySystem, SystemInfo};
 use lake_core::stats::cosine;
 use lake_index::embed::HashedNgramEncoder;
@@ -103,16 +103,14 @@ impl UnionSearch {
         query: usize,
         candidate: usize,
     ) -> (f64, Vec<AlignedPair>) {
-        let qcols: Vec<&ColumnProfile> = corpus.table_profiles(query).collect();
-        let ccols: Vec<&ColumnProfile> = corpus.table_profiles(candidate).collect();
+        let qcols: Vec<usize> = corpus.table_columns(query).map(|(a, _)| a).collect();
+        let ccols: Vec<usize> = corpus.table_columns(candidate).map(|(b, _)| b).collect();
         if qcols.is_empty() || ccols.is_empty() {
             return (0.0, Vec::new());
         }
         let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-        for (qi, qp) in qcols.iter().enumerate() {
-            let a = corpus.profile_index(qp.at).expect("profiled");
-            for (ci, cp) in ccols.iter().enumerate() {
-                let b = corpus.profile_index(cp.at).expect("profiled");
+        for (qi, &a) in qcols.iter().enumerate() {
+            for (ci, &b) in ccols.iter().enumerate() {
                 let s = self.attribute_unionability(corpus, a, b);
                 if s >= self.min_attr_score {
                     edges.push((qi, ci, s));

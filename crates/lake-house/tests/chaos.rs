@@ -16,9 +16,9 @@ use lake_store::object::{MemoryStore, ObjectStore};
 use lake_store::{FaultPlan, FaultStore, Op};
 use std::sync::Arc;
 
-/// The three fixed seeds every seeded scenario replays under
-/// (scripts/chaos.sh documents them; change them and the suite must
-/// still pass — determinism is per-seed, not per-value).
+/// The three fixed seeds every seeded scenario replays under (change
+/// them and the suite must still pass — determinism is per-seed, not
+/// per-value).
 const SEEDS: [u64; 3] = [7, 42, 1337];
 
 fn add(path: &str, rows: usize) -> Action {

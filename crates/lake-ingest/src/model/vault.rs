@@ -70,20 +70,17 @@ impl DataVault {
     /// `hub_<name>(hash_key, business_key)`,
     /// `link_<name>(hash_key, hub_a_key, hub_b_key)`,
     /// `sat_<name>(hub_hash_key, attrs…, record_source)`.
-    pub fn materialize_relational(&self) -> Vec<Table> {
+    pub fn materialize_relational(&self) -> Result<Vec<Table>> {
         let mut out = Vec::new();
         for h in &self.hubs {
             let hashes: Vec<Value> = h.keys.iter().map(|k| Value::Int(hash_key(k) as i64)).collect();
-            out.push(
-                Table::from_columns(
-                    format!("hub_{}", h.name),
-                    vec![
-                        Column::new("hash_key", hashes),
-                        Column::new("business_key", h.keys.clone()),
-                    ],
-                )
-                .expect("equal length"),
-            );
+            out.push(Table::from_columns(
+                format!("hub_{}", h.name),
+                vec![
+                    Column::new("hash_key", hashes),
+                    Column::new("business_key", h.keys.clone()),
+                ],
+            )?);
         }
         for l in &self.links {
             let mut hk = Vec::new();
@@ -94,17 +91,14 @@ impl DataVault {
                 a.push(Value::Int(hash_key(x) as i64));
                 b.push(Value::Int(hash_key(y) as i64));
             }
-            out.push(
-                Table::from_columns(
-                    format!("link_{}", l.name),
-                    vec![
-                        Column::new("hash_key", hk),
-                        Column::new(format!("{}_key", l.hubs.0), a),
-                        Column::new(format!("{}_key", l.hubs.1), b),
-                    ],
-                )
-                .expect("equal length"),
-            );
+            out.push(Table::from_columns(
+                format!("link_{}", l.name),
+                vec![
+                    Column::new("hash_key", hk),
+                    Column::new(format!("{}_key", l.hubs.0), a),
+                    Column::new(format!("{}_key", l.hubs.1), b),
+                ],
+            )?);
         }
         for s in &self.satellites {
             let mut cols: Vec<Column> = Vec::new();
@@ -122,9 +116,9 @@ impl DataVault {
                 "record_source",
                 s.rows.iter().map(|(_, _, src)| Value::str(src.clone())).collect(),
             ));
-            out.push(Table::from_columns(format!("sat_{}", s.name), cols).expect("equal length"));
+            out.push(Table::from_columns(format!("sat_{}", s.name), cols)?);
         }
-        out
+        Ok(out)
     }
 }
 
@@ -148,39 +142,36 @@ pub fn vault_from_tables(tables: &[&Table], hub_keys: &[(&str, &str)]) -> Result
         });
     }
     for table in tables {
-        // Which hubs does this table mention?
-        let present: Vec<(usize, &str)> = hub_keys
+        // Which hubs does this table mention, and in which column?
+        let present: Vec<(usize, &Column)> = hub_keys
             .iter()
             .enumerate()
-            .filter_map(|(i, (_, col))| table.column(col).map(|_| (i, *col)))
+            .filter_map(|(i, (_, col))| table.column(col).map(|c| (i, c)))
             .collect();
-        if present.is_empty() {
+        let Some(&(first_hub, first_key)) = present.first() else {
             return Err(LakeError::schema(format!(
                 "table {} contains no declared business key",
                 table.name
             )));
-        }
+        };
         // Collect hub keys.
         for &(hi, col) in &present {
             let hub = &mut vault.hubs[hi];
-            hub.business_key = col.to_string();
-            for v in table.column(col).expect("present").distinct() {
+            hub.business_key = col.name.clone();
+            for v in col.distinct() {
                 if !hub.keys.contains(v) {
                     hub.keys.push((*v).clone());
                 }
             }
         }
         // A link per hub pair co-occurring in this table.
-        for i in 0..present.len() {
-            for j in i + 1..present.len() {
-                let (ha, ca) = (hub_keys[present[i].0].0, present[i].1);
-                let (hb, cb) = (hub_keys[present[j].0].0, present[j].1);
-                let mut pairs: Vec<(Value, Value)> = table
-                    .column(ca)
-                    .expect("present")
+        for (i, &(hi, ca)) in present.iter().enumerate() {
+            for &(hj, cb) in &present[i + 1..] {
+                let (ha, hb) = (hub_keys[hi].0, hub_keys[hj].0);
+                let mut pairs: Vec<(Value, Value)> = ca
                     .values
                     .iter()
-                    .zip(&table.column(cb).expect("present").values)
+                    .zip(&cb.values)
                     .filter(|(a, b)| !a.is_null() && !b.is_null())
                     .map(|(a, b)| (a.clone(), b.clone()))
                     .collect();
@@ -194,29 +185,22 @@ pub fn vault_from_tables(tables: &[&Table], hub_keys: &[(&str, &str)]) -> Result
             }
         }
         // Satellite: remaining columns attach to the first present hub.
-        let key_cols: Vec<&str> = present.iter().map(|&(_, c)| c).collect();
-        let attrs: Vec<String> = table
+        let attrs: Vec<&Column> = table
             .columns()
             .iter()
-            .filter(|c| !key_cols.contains(&c.name.as_str()))
-            .map(|c| c.name.clone())
+            .filter(|c| !present.iter().any(|(_, key)| key.name == c.name))
             .collect();
         if !attrs.is_empty() {
-            let (hi, key_col) = present[0];
-            let key_vals = &table.column(key_col).expect("present").values;
             let rows = (0..table.num_rows())
                 .map(|r| {
-                    let vals: Vec<Value> = attrs
-                        .iter()
-                        .map(|a| table.column(a).expect("attr exists").values[r].clone())
-                        .collect();
-                    (key_vals[r].clone(), vals, table.name.clone())
+                    let vals: Vec<Value> = attrs.iter().map(|a| a.values[r].clone()).collect();
+                    (first_key.values[r].clone(), vals, table.name.clone())
                 })
                 .collect();
             vault.satellites.push(Satellite {
-                name: format!("{}_{}", hub_keys[hi].0, table.name),
-                hub: hub_keys[hi].0.to_string(),
-                attributes: attrs,
+                name: format!("{}_{}", hub_keys[first_hub].0, table.name),
+                hub: hub_keys[first_hub].0.to_string(),
+                attributes: attrs.iter().map(|c| c.name.clone()).collect(),
                 rows,
             });
         }
@@ -282,7 +266,7 @@ mod tests {
             &[("customer", "customer_id"), ("product", "product_id")],
         )
         .unwrap();
-        let tables = vault.materialize_relational();
+        let tables = vault.materialize_relational().unwrap();
         let names: Vec<&str> = tables.iter().map(|t| t.name.as_str()).collect();
         assert!(names.contains(&"hub_customer"));
         assert!(names.contains(&"link_customer_product"));

@@ -48,7 +48,6 @@
 //!
 //! ```text
 //! cargo run -p lake-lint -- check
-//! cargo run -p lake-lint -- check --json
 //! cargo run -p lake-lint -- fix-baseline
 //! ```
 

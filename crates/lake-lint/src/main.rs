@@ -1,4 +1,4 @@
-//! CLI entry point: `cargo run -p lake-lint -- <check [--json]|fix-baseline>`.
+//! CLI entry point: `cargo run -p lake-lint -- <check|fix-baseline>`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -14,11 +14,11 @@ fn main() -> ExitCode {
         }
     };
     match cmd {
-        "check" => run_check(&root, args.iter().any(|a| a == "--json")),
+        "check" => run_check(&root),
         "fix-baseline" | "--fix-baseline" => run_fix_baseline(&root),
         other => {
             eprintln!("lake-lint: unknown command `{other}`");
-            eprintln!("usage: cargo run -p lake-lint -- <check [--json]|fix-baseline>");
+            eprintln!("usage: cargo run -p lake-lint -- <check|fix-baseline>");
             ExitCode::FAILURE
         }
     }
@@ -29,7 +29,7 @@ fn workspace_root() -> Option<PathBuf> {
     lake_lint::find_workspace_root(&cwd)
 }
 
-fn run_check(root: &std::path::Path, json: bool) -> ExitCode {
+fn run_check(root: &std::path::Path) -> ExitCode {
     let report = match lake_lint::check(root) {
         Ok(r) => r,
         Err(e) => {
@@ -37,12 +37,6 @@ fn run_check(root: &std::path::Path, json: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if json {
-        // Machine-readable report on stdout; exit code still carries the
-        // verdict so CI can pipe the JSON and gate on the status.
-        println!("{}", render_json(&report));
-        return if report.is_clean() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
     for (rule, file, allowed, actual) in &report.comparison.stale {
         eprintln!(
             "warning: stale baseline entry [{rule}] \"{file}\" = {allowed} (now {actual}); \
@@ -66,69 +60,6 @@ fn run_check(root: &std::path::Path, json: bool) -> ExitCode {
         if report.comparison.new_violations.len() == 1 { "" } else { "s" }
     );
     ExitCode::FAILURE
-}
-
-/// Render the report as deterministic JSON: findings are already sorted
-/// by (file, line) from the scan, stale entries by (rule, file) from the
-/// comparison's BTreeMap walk, and every string is escaped by hand — no
-/// serde in this dependency-free crate.
-fn render_json(report: &lake_lint::Report) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"clean\": {},\n", report.is_clean()));
-    out.push_str(&format!(
-        "  \"grandfathered\": {},\n",
-        report.findings.len() - report.comparison.new_violations.len()
-    ));
-    out.push_str("  \"new_violations\": [");
-    for (i, f) in report.comparison.new_violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            json_str(f.rule.key()),
-            json_str(&f.file),
-            f.line,
-            json_str(&f.message)
-        ));
-    }
-    if !report.comparison.new_violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"stale\": [");
-    for (i, (rule, file, allowed, actual)) in report.comparison.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"allowed\": {allowed}, \"actual\": {actual}}}",
-            json_str(rule.key()),
-            json_str(file)
-        ));
-    }
-    if !report.comparison.stale.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn run_fix_baseline(root: &std::path::Path) -> ExitCode {

@@ -20,9 +20,9 @@ use lake_query::parse_query;
 use lake_store::{Polystore, StoreKind};
 use std::sync::Arc;
 
-/// The three fixed seeds every seeded scenario replays under
-/// (scripts/chaos.sh documents them; change them and the suite must
-/// still pass — determinism is per-seed, not per-value).
+/// The three fixed seeds every seeded scenario replays under (change
+/// them and the suite must still pass — determinism is per-seed, not
+/// per-value).
 const SEEDS: [u64; 3] = [7, 42, 1337];
 
 /// A polystore with the three-substrate "orders" lake the federated unit

@@ -5,7 +5,7 @@
 //! [`compare`] fans the cross product out through `lake_core::par`, which
 //! reassembles results in submission order regardless of the host worker
 //! count — so the table is byte-identical under `RUSTLAKE_WORKERS=1` and
-//! `=8`, which `scripts/sched.sh` gates on. Every rendered number is an
+//! `=8`, which `tests/sim_prop.rs` gates on. Every rendered number is an
 //! integer (the fairness index is pre-scaled ×1000 in the engine), so no
 //! float formatting can perturb the bytes.
 

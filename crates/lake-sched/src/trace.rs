@@ -8,7 +8,8 @@
 //! records sorted by `(arrival_us, tenant, verb, cost_us)` and serialized
 //! through [`lake_core::Json`]'s `BTreeMap` objects, so a trace written
 //! twice — or captured twice from the same seed — is byte-identical,
-//! which is what lets `scripts/sched.sh` and `e17_sched` gate on bytes.
+//! which is what lets `sched_calibration.rs` and `scripts/server.sh`
+//! gate on bytes.
 
 use crate::cost::{CostModel, Job, JobKind};
 use lake_core::{Json, LakeError, Result};

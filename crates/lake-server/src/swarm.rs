@@ -12,8 +12,8 @@
 //! gate that cannot see dropped connections cannot bound them. Latency
 //! percentiles are computed over the server's deterministic virtual-cost
 //! model ([`crate::protocol::virtual_cost_us`]) as an order-independent
-//! multiset, which is what makes `BENCH_server.json` byte-identical
-//! across same-seed runs.
+//! multiset, which is what makes a [`SwarmReport`] byte-identical across
+//! same-seed runs.
 
 use crate::protocol::{self, Request, Response, Verb, DEFAULT_MAX_FRAME_BYTES};
 use lake_core::value::fnv1a;
@@ -94,7 +94,7 @@ pub struct SwarmReport {
 
 impl SwarmReport {
     /// Canonical JSON (sorted keys via [`Json`]'s `BTreeMap` objects) —
-    /// the payload `BENCH_server.json` byte-compares across runs.
+    /// the payload `tests/chaos.rs` byte-compares across same-seed runs.
     pub fn to_json(&self, cfg: &SwarmConfig) -> Json {
         let by_code: Vec<(String, Json)> = self
             .by_code
@@ -319,9 +319,9 @@ pub fn run_swarm(addr: &str, cfg: &SwarmConfig) -> SwarmReport {
 }
 
 /// [`run_swarm`] plus the canonical trace of what it offered — the pair
-/// the `swarm --trace <path>` flag and `e17_sched` consume. The trace is
-/// computed from the config, not from responses, so chaos faults perturb
-/// the report but never the trace.
+/// the `swarm --trace <path>` flag and `sched_calibration.rs` consume.
+/// The trace is computed from the config, not from responses, so chaos
+/// faults perturb the report but never the trace.
 pub fn run_swarm_traced(addr: &str, cfg: &SwarmConfig) -> (SwarmReport, WorkloadTrace) {
     let report = run_swarm(addr, cfg);
     (report, capture_trace(cfg))

@@ -11,7 +11,7 @@
 //! * recovery is deterministic: the same workload crashed at the same
 //!   point recovers with a byte-identical `recovery` report;
 //! * `lake_server_recovery_replayed_total` equals the journal's frame
-//!   count (the parity `scripts/chaos.sh` gates on).
+//!   count.
 
 use lake_core::crash::CrashPoint;
 use lake_core::Json;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke gate: boot the real `lake_server` binary, exercise one
 # request per protocol verb over the wire, scrape the Prometheus
-# endpoint, then SIGTERM it mid-life and assert a graceful drain —
+# endpoint, capture a `swarm --trace` twice (same seed, same bytes),
+# then SIGTERM it mid-life and assert a graceful drain —
 # in-flight work finished, metrics flushed, exit status 0. An idle leg
 # SIGTERMs a server nobody ever connected to (the drain must wake the
 # blocked acceptor by itself). A last leg boots with the write-ahead
@@ -27,7 +28,7 @@ cleanup() {
     if [[ -n "$SERVER_PID" ]] && kill -0 "$SERVER_PID" 2>/dev/null; then
         kill -9 "$SERVER_PID" 2>/dev/null || true
     fi
-    rm -f "$LOG"
+    rm -f "$LOG" "$LOG.a" "$LOG.b"
     rm -rf "$WAL_DIR"
 }
 trap cleanup EXIT
@@ -82,6 +83,13 @@ req health | grep -q '"status":"ok"'
 req metrics | grep -q 'lake_server_requests_total'
 req metrics | grep -q 'lake_server_worker_panics_total'
 
+# `swarm --trace` writes the workload it offered, a pure function of the
+# seed: two captures from the same live server are byte-identical.
+"$BIN" swarm "$ADDR" --clients 8 --requests 6 --seed 42 --trace "$LOG.a" >/dev/null
+"$BIN" swarm "$ADDR" --clients 8 --requests 6 --seed 42 --trace "$LOG.b" >/dev/null
+cmp -s "$LOG.a" "$LOG.b" || { echo "server.sh: same-seed trace captures differ" >&2; exit 1; }
+grep -q '"source":"swarm"' "$LOG.a" || { echo "server.sh: trace lacks swarm provenance" >&2; exit 1; }
+
 # A short swarm over the wire keeps some work in flight at SIGTERM time.
 "$BIN" swarm "$ADDR" --clients 16 --requests 5 >/dev/null &
 SWARM_PID=$!
@@ -96,7 +104,7 @@ if [[ $rc -ne 0 ]]; then
 fi
 grep -q 'drained=true' "$LOG" || { echo "server.sh: no drain report" >&2; cat "$LOG" >&2; exit 1; }
 SERVER_PID=
-echo "server.sh: all verbs answered, metrics scraped, SIGTERM drained cleanly (exit 0)"
+echo "server.sh: all verbs answered, metrics scraped, traces byte-identical, SIGTERM drained cleanly (exit 0)"
 
 # ---- idle SIGTERM: nothing in flight, nothing ever sent ----------------
 # The acceptor sits blocked in accept() and no client will ever unblock

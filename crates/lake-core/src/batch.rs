@@ -387,24 +387,6 @@ impl DictColumn {
         DictColumn { name, entries, codes, null_count, cardinality, unique, dtype }
     }
 
-    /// Reassemble dictionary parts produced elsewhere (e.g. a decoded
-    /// parquet-lite dictionary page) into canonical form: entries are
-    /// re-sorted strictly, merged, and re-counted from the codes.
-    pub fn from_dict_codes(name: String, dict: Vec<Value>, codes: &[u32]) -> Result<DictColumn> {
-        let mut values: Vec<Value> = Vec::with_capacity(codes.len());
-        for &c in codes {
-            if c == NULL_CODE {
-                values.push(Value::Null);
-            } else {
-                let v = dict.get(c as usize).ok_or_else(|| {
-                    LakeError::invalid(format!("dictionary code {c} out of range ({})", dict.len()))
-                })?;
-                values.push(v.clone());
-            }
-        }
-        Ok(DictColumn::from_values(name, &values))
-    }
-
     /// Column name.
     pub fn name(&self) -> &str {
         &self.name
@@ -687,22 +669,6 @@ mod tests {
         assert_eq!(dict.value_at(0), Some(&Value::str("b")));
         assert_eq!(dict.value_at(1), Some(&Value::Null));
         assert_eq!(dict.value_at(4), None);
-    }
-
-    #[test]
-    fn from_dict_codes_canonicalizes() {
-        // A decoder-supplied dictionary in arbitrary order with arbitrary
-        // codes re-canonicalizes to the same batch as direct encoding.
-        let dict_values = vec![Value::str("z"), Value::str("a")];
-        let codes = vec![0, 1, NULL_CODE, 0];
-        let d = DictColumn::from_dict_codes("c".into(), dict_values, &codes).unwrap();
-        let direct = DictColumn::from_values(
-            "c".into(),
-            &[Value::str("z"), Value::str("a"), Value::Null, Value::str("z")],
-        );
-        assert_eq!(d, direct);
-        // Out-of-range codes are typed errors.
-        assert!(DictColumn::from_dict_codes("c".into(), vec![Value::Int(1)], &[5]).is_err());
     }
 
     #[test]

@@ -157,6 +157,11 @@ impl Table {
         &self.columns
     }
 
+    /// The columns in order, by value.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// The column named `name`, if any.
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|c| c.name == name)

@@ -12,12 +12,15 @@
 //!
 //! Two encodings are chosen per column: *plain* (each value tagged) and
 //! *dictionary* (distinct values + varint codes) when the column repeats
-//! values. Column statistics are readable via [`read_stats`] without
-//! decoding payloads — exactly what lakehouse data skipping (§8.3) and
-//! catalog profiling need.
+//! values. A [`ColumnarFile`] parses the headers once and decodes a column
+//! only when asked, as stored: a dictionary page stays entries plus codes.
+//! Its column statistics need no payload at all — exactly what lakehouse
+//! data skipping (§8.3) and catalog profiling need.
 
-use crate::varint::{get_f64, get_i64, get_str, get_u64, put_f64, put_i64, put_str, put_u64};
-use lake_core::batch::{ColumnBatch, DictColumn, NULL_CODE};
+use crate::varint::{
+    get_f64, get_i64, get_str, get_str_ref, get_u64, put_f64, put_i64, put_str, put_u64,
+};
+use lake_core::batch::NULL_CODE;
 use lake_core::{Column, LakeError, Result, Table, Value};
 use std::collections::BTreeMap;
 
@@ -104,6 +107,36 @@ fn get_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     })
 }
 
+/// Step over one value, failing exactly where [`get_value`] fails but
+/// building nothing.
+fn skip_value(buf: &[u8], pos: &mut usize) -> Result<()> {
+    let Some(&tag) = buf.get(*pos) else {
+        return Err(LakeError::parse("truncated value"));
+    };
+    *pos += 1;
+    match tag {
+        0 => Ok(()),
+        1 if *pos < buf.len() => {
+            *pos += 1;
+            Ok(())
+        }
+        1 => Err(LakeError::parse("truncated bool")),
+        2 => get_u64(buf, pos).map(|_| ()),
+        3 => get_f64(buf, pos).map(|_| ()),
+        4 => get_str_ref(buf, pos).map(|_| ()),
+        t => Err(LakeError::parse(format!("bad value tag {t}"))),
+    }
+}
+
+/// One row's dictionary code, which must name an entry.
+fn get_code(buf: &[u8], pos: &mut usize, entries: usize) -> Result<u32> {
+    let raw = get_u64(buf, pos)?;
+    u32::try_from(raw)
+        .ok()
+        .filter(|&c| c != NULL_CODE && (c as usize) < entries)
+        .ok_or_else(|| LakeError::parse("dictionary code out of range"))
+}
+
 fn put_opt_value(out: &mut Vec<u8>, v: &Option<Value>) {
     match v {
         None => out.push(0),
@@ -179,19 +212,8 @@ pub fn encode(table: &Table) -> Vec<u8> {
     out
 }
 
-fn read_header(buf: &[u8]) -> Result<(String, usize, usize, usize)> {
-    if buf.get(..4) != Some(MAGIC.as_slice()) {
-        return Err(LakeError::parse("not a parquet-lite buffer"));
-    }
-    let mut pos = 4;
-    let name = get_str(buf, &mut pos)?;
-    let rows = get_u64(buf, &mut pos)? as usize;
-    let cols = get_u64(buf, &mut pos)? as usize;
-    Ok((name, rows, cols, pos))
-}
-
 /// One column's header fields plus its payload slice; advances `pos`
-/// past the payload. Shared by the table, batch, and stats readers.
+/// past the payload.
 fn read_column_header<'a>(
     buf: &'a [u8],
     pos: &mut usize,
@@ -214,160 +236,164 @@ fn read_column_header<'a>(
     Ok((ColumnStats { name, min, max, null_count, distinct }, enc, payload))
 }
 
-/// Decode one column payload into row-order values. Capacity hints are
-/// clamped by the payload size (every encoded value and code is at least
-/// one byte), so a corrupt header claiming 2^60 rows cannot trigger an
-/// allocation abort — it runs out of payload and returns a parse error.
-fn decode_payload(enc: u8, rows: usize, payload: &[u8]) -> Result<Vec<Value>> {
-    let mut p = 0;
-    match enc {
-        ENC_PLAIN => {
-            let mut vs = Vec::with_capacity(rows.min(payload.len()));
-            for _ in 0..rows {
-                vs.push(get_value(payload, &mut p)?);
+/// One column as its page stores it.
+#[derive(Debug, PartialEq)]
+pub enum StoredColumn {
+    /// A plain page: one value per row.
+    Plain(Vec<Value>),
+    /// A dictionary page: its entries in file order and one entry index
+    /// per row, with the codes of null entries folded to [`NULL_CODE`].
+    Dict {
+        /// The dictionary as stored.
+        entries: Vec<Value>,
+        /// One code per row.
+        codes: Vec<u32>,
+    },
+}
+
+impl StoredColumn {
+    /// The value at `row`; `None` past the end and for a null code.
+    pub fn get(&self, row: usize) -> Option<&Value> {
+        match self {
+            StoredColumn::Plain(values) => values.get(row),
+            StoredColumn::Dict { entries, codes } => {
+                codes.get(row).and_then(|&c| entries.get(c as usize))
             }
-            Ok(vs)
         }
-        ENC_DICT => {
-            let (dict, codes) = decode_dict_payload(rows, payload)?;
-            let mut vs = Vec::with_capacity(rows.min(payload.len()));
-            for code in codes {
-                let v = if code == NULL_CODE {
-                    Value::Null
-                } else {
-                    dict.get(code as usize)
-                        .cloned()
-                        .ok_or_else(|| LakeError::parse("dictionary code out of range"))?
-                };
-                vs.push(v);
-            }
-            Ok(vs)
+    }
+
+    /// Every row's value; a coded row gets its entry's representation.
+    pub fn into_values(self) -> Vec<Value> {
+        match self {
+            StoredColumn::Plain(values) => values,
+            StoredColumn::Dict { entries, codes } => codes
+                .iter()
+                .map(|&c| entries.get(c as usize).cloned().unwrap_or(Value::Null))
+                .collect(),
         }
-        t => Err(LakeError::parse(format!("bad encoding tag {t}"))),
     }
 }
 
-/// Decode a dictionary payload into `(dict, row codes)` without touching
-/// per-row values: codes of `Value::Null` dictionary entries are folded
-/// to [`NULL_CODE`]. Codes are *not* range-checked here beyond `u32`
-/// (the dictionary may legitimately be consulted lazily); consumers
-/// validate on lookup.
-fn decode_dict_payload(rows: usize, payload: &[u8]) -> Result<(Vec<Value>, Vec<u32>)> {
-    let mut p = 0;
-    let dlen = get_u64(payload, &mut p)? as usize;
-    let mut dict = Vec::with_capacity(dlen.min(payload.len()));
-    for _ in 0..dlen {
-        dict.push(get_value(payload, &mut p)?);
-    }
-    let mut codes = Vec::with_capacity(rows.min(payload.len()));
-    for _ in 0..rows {
-        let raw = get_u64(payload, &mut p)?;
-        let code = u32::try_from(raw)
-            .ok()
-            .filter(|&c| c != NULL_CODE)
-            .ok_or_else(|| LakeError::parse("dictionary code out of range"))?;
-        let is_null = dict.get(code as usize).is_some_and(Value::is_null);
-        codes.push(if is_null { NULL_CODE } else { code });
-    }
-    Ok((dict, codes))
-}
-
-/// Decode a full table.
-pub fn decode(buf: &[u8]) -> Result<Table> {
-    let (name, rows, ncols, mut pos) = read_header(buf)?;
-    let mut columns = Vec::with_capacity(ncols.min(buf.len()));
-    for _ in 0..ncols {
-        let (stats, enc, payload) = read_column_header(buf, &mut pos)?;
-        let values = decode_payload(enc, rows, payload)?;
-        columns.push(Column::new(stats.name, values));
-    }
-    Table::from_columns(name, columns)
-}
-
-/// Decode straight into the dictionary-encoded execution format.
+/// A parquet-lite buffer opened for scanning: the header and every column
+/// header are parsed once, and each payload stays as stored until its
+/// column is [read](ColumnarFile::read) or [checked](ColumnarFile::check).
 ///
-/// Dictionary-encoded columns keep their codes (null entries folded to
-/// [`NULL_CODE`]) and only re-canonicalize the dictionary itself; plain
-/// columns are encoded on the way in. Either way the result is exactly
-/// [`ColumnBatch::from_table`]` of `[`decode`] — pinned by test.
-pub fn decode_batch(buf: &[u8]) -> Result<ColumnBatch> {
-    let (name, rows, ncols, mut pos) = read_header(buf)?;
-    let mut columns = Vec::with_capacity(ncols.min(buf.len()));
-    for _ in 0..ncols {
-        let (stats, enc, payload) = read_column_header(buf, &mut pos)?;
-        let col = match enc {
-            ENC_DICT => {
-                let (dict, codes) = decode_dict_payload(rows, payload)?;
-                DictColumn::from_dict_codes(stats.name, dict, &codes)?
-            }
-            _ => {
-                let values = decode_payload(enc, rows, payload)?;
-                DictColumn::from_values(stats.name, &values)
-            }
-        };
-        if col.len() != rows {
-            return Err(LakeError::parse("column shorter than row count"));
-        }
-        columns.push(col);
-    }
-    ColumnBatch::from_columns(name, columns)
+/// Capacity hints are clamped by the payload size (every encoded value and
+/// code is at least one byte), so a corrupt header claiming 2^60 rows
+/// cannot trigger an allocation abort — it runs out of payload and returns
+/// a parse error.
+#[derive(Debug)]
+pub struct ColumnarFile<'a> {
+    name: String,
+    rows: usize,
+    stats: Vec<ColumnStats>,
+    pages: Vec<(u8, &'a [u8])>,
 }
 
-/// Encode a [`ColumnBatch`] to parquet-lite bytes straight from its
-/// dictionaries — no row-order `Value` materialization.
-///
-/// Statistics come from the strict-sorted dictionary (first entry is the
-/// Ord-minimum, last the Ord-maximum), so for columns holding Ord-equal
-/// mixed representations (`Int(3)`/`Float(3.0)`) the stored min/max
-/// *representation* can differ from [`encode`]'s row-order pick; the
-/// values compare `Equal`, so data skipping is unaffected, and decoding
-/// yields an equal table.
-pub fn encode_batch(batch: &ColumnBatch) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_str(&mut out, &batch.name);
-    put_u64(&mut out, batch.len() as u64);
-    put_u64(&mut out, batch.columns().len() as u64);
-    for col in batch.columns() {
-        put_str(&mut out, col.name());
-        let distinct = col.cardinality() as u64;
-        let use_dict = distinct > 0 && (distinct as usize) * 2 < col.len();
-        let mut payload = Vec::new();
-        if use_dict {
-            // Dictionary page: the strict-distinct entries plus one null
-            // slot when the column has nulls, codes straight from the
-            // batch (nulls remapped onto the extra slot).
-            let nulls = col.null_count() > 0;
-            put_u64(&mut payload, (col.entries().len() + usize::from(nulls)) as u64);
-            for e in col.entries() {
-                put_value(&mut payload, &e.value);
-            }
-            if nulls {
-                put_value(&mut payload, &Value::Null);
-            }
-            let null_slot = col.entries().len() as u64;
-            for &c in col.codes() {
-                put_u64(&mut payload, if c == NULL_CODE { null_slot } else { u64::from(c) });
-            }
-        } else {
-            for &c in col.codes() {
-                match col.entries().get(c as usize) {
-                    Some(e) => put_value(&mut payload, &e.value),
-                    None => put_value(&mut payload, &Value::Null),
+impl<'a> ColumnarFile<'a> {
+    /// Parse the header and the column headers of `buf`.
+    pub fn open(buf: &'a [u8]) -> Result<ColumnarFile<'a>> {
+        if buf.get(..4) != Some(MAGIC.as_slice()) {
+            return Err(LakeError::parse("not a parquet-lite buffer"));
+        }
+        let mut pos = 4;
+        let name = get_str(buf, &mut pos)?;
+        let rows = get_u64(buf, &mut pos)? as usize;
+        let ncols = get_u64(buf, &mut pos)? as usize;
+        let mut stats = Vec::with_capacity(ncols.min(buf.len()));
+        let mut pages = Vec::with_capacity(ncols.min(buf.len()));
+        for _ in 0..ncols {
+            let (s, enc, payload) = read_column_header(buf, &mut pos)?;
+            stats.push(s);
+            pages.push((enc, payload));
+        }
+        // A table has as many rows as its columns, so none without columns.
+        let rows = if ncols == 0 { 0 } else { rows };
+        Ok(ColumnarFile { name, rows, stats, pages })
+    }
+
+    /// The table name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Per-column statistics, in column order.
+    pub fn stats(&self) -> &[ColumnStats] {
+        &self.stats
+    }
+
+    /// Position of the first column named `name`.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.stats.iter().position(|s| s.name == name)
+    }
+
+    fn page(&self, column: usize) -> Result<(u8, &'a [u8])> {
+        let page = self.pages.get(column).copied();
+        page.ok_or_else(|| LakeError::invalid(format!("no column {column}")))
+    }
+
+    /// Decode the column at `column` as stored.
+    pub fn read(&self, column: usize) -> Result<StoredColumn> {
+        let (enc, payload) = self.page(column)?;
+        let mut p = 0;
+        match enc {
+            ENC_PLAIN => {
+                let mut values = Vec::with_capacity(self.rows.min(payload.len()));
+                for _ in 0..self.rows {
+                    values.push(get_value(payload, &mut p)?);
                 }
+                Ok(StoredColumn::Plain(values))
             }
+            ENC_DICT => {
+                let len = get_u64(payload, &mut p)? as usize;
+                let mut entries = Vec::with_capacity(len.min(payload.len()));
+                for _ in 0..len {
+                    entries.push(get_value(payload, &mut p)?);
+                }
+                let mut codes = Vec::with_capacity(self.rows.min(payload.len()));
+                for _ in 0..self.rows {
+                    let code = get_code(payload, &mut p, entries.len())?;
+                    let null = entries.get(code as usize).is_some_and(Value::is_null);
+                    codes.push(if null { NULL_CODE } else { code });
+                }
+                Ok(StoredColumn::Dict { entries, codes })
+            }
+            t => Err(LakeError::parse(format!("bad encoding tag {t}"))),
         }
-        out.push(if use_dict { ENC_DICT } else { ENC_PLAIN });
-        let min = col.entries().first().map(|e| e.value.clone());
-        let max = col.entries().last().map(|e| e.value.clone());
-        put_opt_value(&mut out, &min);
-        put_opt_value(&mut out, &max);
-        put_u64(&mut out, col.null_count() as u64);
-        put_u64(&mut out, distinct);
-        put_u64(&mut out, payload.len() as u64);
-        out.extend_from_slice(&payload);
     }
-    out
+
+    /// Walk the column at `column` as [`read`](ColumnarFile::read) does and
+    /// fail where it fails, building no value.
+    pub fn check(&self, column: usize) -> Result<()> {
+        let (enc, payload) = self.page(column)?;
+        let mut p = 0;
+        match enc {
+            ENC_PLAIN => (0..self.rows).try_for_each(|_| skip_value(payload, &mut p)),
+            ENC_DICT => {
+                let len = get_u64(payload, &mut p)? as usize;
+                (0..len).try_for_each(|_| skip_value(payload, &mut p))?;
+                (0..self.rows).try_for_each(|_| get_code(payload, &mut p, len).map(|_| ()))
+            }
+            t => Err(LakeError::parse(format!("bad encoding tag {t}"))),
+        }
+    }
+}
+
+/// Decode a full table: the [`ColumnarFile`] reading every column.
+pub fn decode(buf: &[u8]) -> Result<Table> {
+    let file = ColumnarFile::open(buf)?;
+    let columns = file
+        .stats
+        .iter()
+        .enumerate()
+        .map(|(i, s)| Ok(Column::new(s.name.clone(), file.read(i)?.into_values())))
+        .collect::<Result<Vec<_>>>()?;
+    Table::from_columns(file.name, columns)
 }
 
 /// Read only the per-column statistics — no payload decoding.
@@ -375,13 +401,7 @@ pub fn encode_batch(batch: &ColumnBatch) -> Vec<u8> {
 /// This is the data-skipping entry point: the lakehouse consults file
 /// statistics to prune files before scanning them.
 pub fn read_stats(buf: &[u8]) -> Result<Vec<ColumnStats>> {
-    let (_, _, ncols, mut pos) = read_header(buf)?;
-    let mut stats = Vec::with_capacity(ncols.min(buf.len()));
-    for _ in 0..ncols {
-        let (s, _, _) = read_column_header(buf, &mut pos)?;
-        stats.push(s);
-    }
-    Ok(stats)
+    ColumnarFile::open(buf).map(|f| f.stats)
 }
 
 #[cfg(test)]
@@ -462,69 +482,84 @@ mod tests {
     }
 
     #[test]
-    fn batch_decode_matches_table_decode() {
+    fn view_reads_each_page_as_stored() {
         let t = sample();
         let buf = encode(&t);
-        let b = decode_batch(&buf).unwrap();
-        assert_eq!(b, ColumnBatch::from_table(&decode(&buf).unwrap()));
-        assert_eq!(b.to_table().unwrap(), t);
+        let file = ColumnarFile::open(&buf).unwrap();
+        assert_eq!((file.name(), file.num_rows()), ("cities", 5));
+        assert_eq!(file.stats(), read_stats(&buf).unwrap());
+        let city = file.read(file.position("city").unwrap()).unwrap();
+        let (berlin, delft) = (Value::str("berlin"), Value::str("delft"));
+        let codes = vec![0, 0, 1, 0, 1];
+        assert_eq!(city, StoredColumn::Dict { entries: vec![berlin.clone(), delft], codes });
+        assert_eq!(city.get(3), Some(&berlin));
+        assert_eq!(city.get(5), None);
+        let id = file.read(0).unwrap();
+        assert_eq!(id, StoredColumn::Plain((1..=5).map(Value::Int).collect()));
+        let decoded = decode(&buf).unwrap();
+        for (i, col) in decoded.columns().iter().enumerate() {
+            assert_eq!(file.read(i).unwrap().into_values(), col.values);
+            file.check(i).unwrap();
+        }
+        assert!(file.read(4).is_err() && file.check(4).is_err(), "no fifth column");
+        assert_eq!(file.position("nope"), None);
     }
 
     #[test]
-    fn batch_encode_roundtrips() {
-        let t = sample();
-        let b = ColumnBatch::from_table(&t);
-        let buf = encode_batch(&b);
-        assert_eq!(decode(&buf).unwrap(), t);
-        assert_eq!(decode_batch(&buf).unwrap(), b);
-        let stats = read_stats(&buf).unwrap();
-        let pop = stats.iter().find(|s| s.name == "pop").unwrap();
-        assert_eq!(pop.min, Some(Value::Float(0.1)));
-        assert_eq!(pop.max, Some(Value::Float(3.6)));
-        assert_eq!(pop.null_count, 1);
-        assert_eq!(pop.distinct, 4);
-    }
-
-    #[test]
-    fn batch_dict_encoding_with_nulls_roundtrips() {
-        // Repetitive column with nulls: the dict page grows a null slot
-        // whose codes fold back to NULL_CODE on decode.
+    fn null_dictionary_entries_fold_to_the_null_code() {
         let reps: Vec<lake_core::Row> = (0..300)
-            .map(|i| {
-                vec![if i % 3 == 0 { Value::Null } else { Value::str(if i % 2 == 0 { "aa" } else { "bb" }) }]
-            })
+            .map(|i| vec![if i % 3 == 0 { Value::Null } else { Value::Int(i % 2) }])
             .collect();
         let t = Table::from_rows("r", &["x"], reps).unwrap();
-        let b = ColumnBatch::from_table(&t);
-        let buf = encode_batch(&b);
-        assert_eq!(decode(&buf).unwrap(), t);
-        assert_eq!(decode_batch(&buf).unwrap(), b);
-    }
-
-    #[test]
-    fn batch_zero_rows_and_all_null_roundtrip() {
-        for t in [
-            Table::empty("e"),
-            Table::from_rows("z", &["a", "b"], vec![]).unwrap(),
-            Table::from_rows("n", &["a"], vec![vec![Value::Null], vec![Value::Null]]).unwrap(),
-        ] {
-            let b = ColumnBatch::from_table(&t);
-            assert_eq!(decode_batch(&encode(&t)).unwrap(), b, "{}", t.name);
-            assert_eq!(decode(&encode_batch(&b)).unwrap(), t, "{}", t.name);
-        }
+        let buf = encode(&t);
+        let col = ColumnarFile::open(&buf).unwrap().read(0).unwrap();
+        let StoredColumn::Dict { codes, .. } = &col else { panic!("{col:?}") };
+        assert_eq!(codes[0], NULL_CODE);
+        assert_eq!(col.get(0), None);
+        assert_eq!(col.into_values(), t.columns()[0].values);
     }
 
     #[test]
     fn mixed_representation_dict_column_decodes_to_ord_equal_rows() {
         // Disk dictionaries dedup by Ord (Int(3) and Float(3.0) share an
-        // entry), so the batch decoder must tolerate Ord-equal collapses
-        // and still satisfy the decode_batch == from_table(decode) pin.
+        // entry), so every row reads back as the entry stored first: the
+        // rows are Ord-equal to what was written, and the view and
+        // `decode` hand out the same representation.
         let rows: Vec<lake_core::Row> = (0..100)
             .map(|i| vec![if i % 2 == 0 { Value::Int(3) } else { Value::Float(3.0) }])
             .collect();
         let t = Table::from_rows("m", &["x"], rows).unwrap();
         let buf = encode(&t);
-        assert_eq!(decode_batch(&buf).unwrap(), ColumnBatch::from_table(&decode(&buf).unwrap()));
+        let col = ColumnarFile::open(&buf).unwrap().read(0).unwrap();
+        assert!(matches!(&col, StoredColumn::Dict { entries, .. } if entries.len() == 1));
+        let decoded = decode(&buf).unwrap();
+        assert_eq!(decoded, t);
+        let repr = format!("{:?}", col.into_values());
+        assert_eq!(repr, format!("{:?}", decoded.columns()[0].values));
+        assert_eq!(repr, format!("{:?}", vec![Value::Int(3); 100]));
+    }
+
+    #[test]
+    fn check_fails_where_read_fails() {
+        let rows: Vec<lake_core::Row> =
+            (0..6).map(|i| vec![Value::str(if i < 3 { "é" } else { "x" })]).collect();
+        let buf = encode(&Table::from_rows("r", &["s"], rows).unwrap());
+        let ok = ColumnarFile::open(&buf).unwrap();
+        assert!(ok.read(0).is_ok() && ok.check(0).is_ok());
+        // The page ends the buffer: 2 entries | "é" (4 bytes) | "x" (3) | 6
+        // codes. Its encoding tag sits before min "x" (4), max "é" (5),
+        // the null count, the distinct count and the page length.
+        let page = buf.len() - 14;
+        let tag = page - 13;
+        assert_eq!((buf[tag], buf[page + 3]), (ENC_DICT, 0xc3));
+        for (at, byte) in [(tag, 9u8), (page + 3, 0xff), (buf.len() - 1, 2)] {
+            let mut bad = buf.clone();
+            bad[at] = byte;
+            let file = ColumnarFile::open(&bad).unwrap();
+            assert!(file.read(0).is_err(), "read at {at}");
+            assert!(file.check(0).is_err(), "check at {at}");
+            assert!(decode(&bad).is_err(), "decode at {at}");
+        }
     }
 
     #[test]

@@ -53,18 +53,21 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Read a length-prefixed UTF-8 string, borrowed from `buf`.
+pub(crate) fn get_str_ref<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str> {
+    let len = get_u64(buf, pos)? as usize;
+    let bytes = pos
+        .checked_add(len)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| LakeError::parse("truncated string"))?;
+    let s = std::str::from_utf8(bytes).map_err(|_| LakeError::parse("invalid utf-8"))?;
+    *pos += len;
+    Ok(s)
+}
+
 /// Read a length-prefixed UTF-8 string.
 pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let len = get_u64(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| LakeError::parse("truncated string"))?;
-    let s = std::str::from_utf8(&buf[*pos..end])
-        .map_err(|_| LakeError::parse("invalid utf-8"))?
-        .to_string();
-    *pos = end;
-    Ok(s)
+    get_str_ref(buf, pos).map(str::to_string)
 }
 
 /// Append an `f64` as fixed 8 little-endian bytes.

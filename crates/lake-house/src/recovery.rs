@@ -1,8 +1,8 @@
 //! Crash recovery for the transaction log.
 //!
-//! A writer can die between the bytes of a log entry (a torn
-//! `put_if_absent` against a local filesystem), leaving a trailing entry
-//! that parses as garbage — or not at all. Because every entry carries a
+//! A log entry can be torn — a `FaultStore` torn write, or a machine
+//! crash before an unsynced entry reached the disk — leaving a trailing
+//! entry that parses as garbage, or not at all. Because every entry carries a
 //! checksum ([`crate::log`]), such corruption is detectable; this module
 //! makes it *repairable*: [`TxnLog::recover`] walks the log, finds the
 //! longest fully-valid contiguous version prefix, moves everything after

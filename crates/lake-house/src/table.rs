@@ -10,8 +10,8 @@
 
 use crate::log::{Action, Snapshot, TxnLog};
 use lake_core::retry::{Clock, RetryPolicy, RetryStats};
-use lake_core::{LakeError, Result, Row, Table};
-use lake_formats::columnar;
+use lake_core::{LakeError, Result, Row, Table, Value};
+use lake_formats::columnar::{self, ColumnarFile};
 use lake_formats::varint::{get_str, get_u64, put_str, put_u64};
 use lake_index::bloom::BloomFilter;
 use lake_store::object::ObjectStore;
@@ -166,8 +166,9 @@ impl<'a> LakeTable<'a> {
         let mut rows = Vec::new();
         for (path, _) in &snap.files {
             let bytes = self.log.run_retry(|| self.store.get(path))?;
+            let file = ColumnarFile::open(&bytes)?;
             // Data skipping: equality predicates vs min/max.
-            if predicate::stats_rule_out(&columnar::read_stats(&bytes)?, predicates) {
+            if predicate::stats_rule_out(file.stats(), predicates) {
                 stats.files_skipped += 1;
                 continue;
             }
@@ -194,8 +195,13 @@ impl<'a> LakeTable<'a> {
                 }
             }
             stats.files_read += 1;
-            let t = columnar::decode(&bytes)?;
-            rows.extend(predicate::matching_rows(&t, predicates).into_iter().map(|i| t.row(i)));
+            let (columns, matched) = predicate::scan_file(&file, predicates, None)?;
+            // Rows are the contract here: move each gathered cell into one.
+            let mut cells: Vec<_> = columns.into_iter().map(|c| c.values.into_iter()).collect();
+            let row = |_: &usize| -> Row {
+                cells.iter_mut().map(|c| c.next().unwrap_or(Value::Null)).collect()
+            };
+            rows.extend(matched.iter().map(row));
         }
         Ok((rows, stats))
     }
@@ -264,12 +270,12 @@ impl<'a> LakeTable<'a> {
         let mut deleted = 0usize;
         for (path, _) in &snap.files {
             let bytes = self.log.run_retry(|| self.store.get(path))?;
+            let file = ColumnarFile::open(&bytes)?;
             // Skip files whose stats prove no row matches an Eq predicate.
-            if predicate::stats_rule_out(&columnar::read_stats(&bytes)?, predicates) {
+            if predicate::stats_rule_out(file.stats(), predicates) {
                 continue;
             }
-            let t = columnar::decode(&bytes)?;
-            let doomed = predicate::matching_rows(&t, predicates);
+            let (_, doomed) = predicate::scan_file(&file, predicates, Some(&[]))?;
             if doomed.is_empty() {
                 continue;
             }
@@ -278,9 +284,11 @@ impl<'a> LakeTable<'a> {
             // The rows that stay are the complement of the ascending matches.
             let mut next_doomed = doomed.iter().peekable();
             let stay: Vec<usize> =
-                (0..t.num_rows()).filter(|i| next_doomed.next_if_eq(&i).is_none()).collect();
+                (0..file.num_rows()).filter(|i| next_doomed.next_if_eq(&i).is_none()).collect();
             if !stay.is_empty() {
-                let kept = Table::from_columns(t.name.clone(), predicate::gather(&t, &stay, None))?;
+                let (all, _) = predicate::scan_file(&file, &[], None)?;
+                let all = Table::from_columns(file.name(), all)?;
+                let kept = Table::from_columns(file.name(), predicate::gather(&all, &stay, None))?;
                 let key = self.new_file_key();
                 let body = columnar::encode(&kept);
                 self.log.run_retry(|| self.store.put(&key, &body))?;

@@ -37,7 +37,7 @@ use lake_core::retry::{retry_with_stats, Clock, RetryStats, SystemClock};
 use lake_core::{Column, Json, LakeError, Result, Table, Value};
 use lake_obs::{Counter, Histogram, MetricsRegistry, MICROS_TO_SECONDS};
 use lake_store::graphstore::TriplePattern;
-use lake_formats::columnar;
+use lake_formats::columnar::ColumnarFile;
 use lake_store::predicate::{self, Predicate};
 use lake_store::{Polystore, StoreKind};
 use std::collections::BTreeMap;
@@ -200,11 +200,6 @@ impl<'a> FederatedEngine<'a> {
     /// Register a mediated table.
     pub fn register(&mut self, name: &str, sources: Vec<SourceBinding>) {
         self.mediated.insert(name.to_string(), sources);
-    }
-
-    /// Registered mediated tables.
-    pub fn mediated_tables(&self) -> Vec<&str> {
-        self.mediated.keys().map(String::as_str).collect()
     }
 
     /// Per-backend breaker snapshot: (source, state, consecutive failures).
@@ -466,22 +461,18 @@ impl<'a> FederatedEngine<'a> {
             .map(|p| Ok(Predicate::new(map_attr(&p.attribute)?, p.op, p.value.clone())))
             .collect::<Result<_>>()?;
         let mapped_select: Vec<&str> = select.iter().map(|s| map_attr(s)).collect::<Result<_>>()?;
-        // Filter and project a table at the mediator (or, for a pushed-down
-        // file, at the source-side service standing in front of it).
-        let select_from = |t: &Table| {
-            let rows = predicate::matching_rows(t, &mapped_filters);
-            (predicate::gather(t, &rows, Some(&mapped_select)), rows.len())
-        };
-
         match src.store {
             StoreKind::Relational if pushdown => {
                 let relational = &self.store.relational;
                 let t = relational.scan(&src.location, &mapped_filters, Some(&mapped_select))?;
-                Ok((t.columns().to_vec(), t.num_rows()))
+                let moved = t.num_rows();
+                Ok((t.into_columns(), moved))
             }
             StoreKind::Relational => {
+                // The whole table ships; the mediator filters and projects.
                 let t = self.store.relational.scan(&src.location, &[], None)?;
-                Ok((select_from(&t).0, t.num_rows()))
+                let rows = predicate::matching_rows(&t, &mapped_filters);
+                Ok((predicate::gather(&t, &rows, Some(&mapped_select)), t.num_rows()))
             }
             StoreKind::Document => {
                 let pushed: &[Predicate] = if pushdown { &mapped_filters } else { &[] };
@@ -500,17 +491,16 @@ impl<'a> FederatedEngine<'a> {
             StoreKind::File => {
                 // Columnar files: data skipping via stats when pushing down.
                 let bytes = self.store.files.get(&src.location)?;
-                if pushdown
-                    && predicate::stats_rule_out(&columnar::read_stats(&bytes)?, &mapped_filters)
-                {
+                let file = ColumnarFile::open(&bytes)?;
+                if pushdown && predicate::stats_rule_out(file.stats(), &mapped_filters) {
                     return Ok((Vec::new(), 0)); // pruned without decoding
                 }
-                let t = columnar::decode(&bytes)?;
-                let (cols, matched) = select_from(&t);
+                let (cols, matched) =
+                    predicate::scan_file(&file, &mapped_filters, Some(&mapped_select))?;
                 // Without pushdown the whole file ships to the mediator;
                 // with it, a source-side service (Ontario's Spark connector
                 // for HDFS files) filters first, so only matching rows move.
-                Ok((cols, if pushdown { matched } else { t.num_rows() }))
+                Ok((cols, if pushdown { matched.len() } else { file.num_rows() }))
             }
             StoreKind::Graph => Err(LakeError::query(
                 "graph sources are queried via triple patterns (see sparql)",

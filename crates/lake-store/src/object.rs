@@ -177,7 +177,8 @@ impl ObjectStore for MemoryStore {
 /// Object store persisting blobs as files under a root directory.
 ///
 /// Keys map to relative paths; `/` in keys becomes directory structure.
-/// Conditional put uses `create_new`, which the OS makes atomic.
+/// Both puts write a hidden temp file first and then publish it under the
+/// key in one atomic filesystem call, so a key is absent or complete.
 #[derive(Debug)]
 pub struct LocalDirStore {
     root: PathBuf,
@@ -190,6 +191,31 @@ impl LocalDirStore {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         Ok(LocalDirStore { root, tmp_seq: AtomicU64::new(0) })
+    }
+
+    /// Write `data` to a fresh temp file beside `path` (a hidden name that
+    /// `list` skips) and return the temp file's path. A failed write
+    /// leaves no temp file behind.
+    fn write_tmp(&self, path: &Path, data: &[u8]) -> Result<PathBuf> {
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        let file_name = path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_else(|| "blob".to_string());
+        let tmp = path.with_file_name(format!(
+            ".{file_name}.tmp-{}-{}",
+            std::process::id(),
+            // lint: ordering — temp-name uniqueness rests on fetch_add
+            // atomicity; no cross-variable ordering is implied.
+            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
+        ));
+        if let Err(e) = std::fs::write(&tmp, data) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e.into());
+        }
+        Ok(tmp)
     }
 
     fn path_of(&self, key: &str) -> Result<PathBuf> {
@@ -217,9 +243,9 @@ impl LocalDirStore {
     }
 }
 
-/// Is `rel` one of [`LocalDirStore::put`]'s in-flight temp files? Those
-/// are invisible to `list` so a concurrent reader never sees a blob that
-/// was not yet renamed into place.
+/// Is `rel` one of [`LocalDirStore`]'s in-flight temp files? Those are
+/// invisible to `list` so a concurrent reader never sees a blob that was
+/// not yet published under its key.
 fn is_tmp_name(rel: &str) -> bool {
     rel.rsplit('/')
         .next()
@@ -233,21 +259,7 @@ impl ObjectStore for LocalDirStore {
     /// within one directory is atomic on POSIX filesystems.
     fn put(&self, key: &str, data: &[u8]) -> Result<()> {
         let path = self.path_of(key)?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file_name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "blob".to_string());
-        let tmp = path.with_file_name(format!(
-            ".{file_name}.tmp-{}-{}",
-            std::process::id(),
-            // lint: ordering — temp-name uniqueness rests on fetch_add
-            // atomicity; no cross-variable ordering is implied.
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, data)?;
+        let tmp = self.write_tmp(&path, data)?;
         if let Err(e) = std::fs::rename(&tmp, &path) {
             let _ = std::fs::remove_file(&tmp);
             return Err(e.into());
@@ -255,24 +267,19 @@ impl ObjectStore for LocalDirStore {
         Ok(())
     }
 
-    /// Atomic via `O_CREAT|O_EXCL` (`create_new`): the OS guarantees
-    /// exactly one concurrent creator wins the key. The winner's bytes
-    /// are then streamed into the claimed file, so a crash mid-write
-    /// leaves a torn blob under the key — which is precisely what
-    /// `TxnLog::recover` detects and quarantines.
+    /// Atomic publish: the bytes land in a complete temp file, which is
+    /// then hard-linked to `key`. `link(2)` fails with `EEXIST` when the
+    /// key exists, atomically, so exactly one concurrent creator wins, and
+    /// a reader finds the key absent or holding every byte — never empty
+    /// or partial. The temp file is unlinked on every exit; a writer dying
+    /// mid-call can leave only a stray temp file, which `list` skips.
     fn put_if_absent(&self, key: &str, data: &[u8]) -> Result<()> {
         let path = self.path_of(key)?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut opts = std::fs::OpenOptions::new();
-        opts.write(true).create_new(true);
-        match opts.open(&path) {
-            Ok(mut f) => {
-                use std::io::Write;
-                f.write_all(data)?;
-                Ok(())
-            }
+        let tmp = self.write_tmp(&path, data)?;
+        let linked = std::fs::hard_link(&tmp, &path);
+        let _ = std::fs::remove_file(&tmp);
+        match linked {
+            Ok(()) => Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                 Err(LakeError::AlreadyExists(key.to_string()))
             }
@@ -452,6 +459,42 @@ mod tests {
         let got = s.get("contested").unwrap();
         assert_eq!(got.len(), 512);
         assert!(got.iter().all(|&b| b == got[0]), "interleaved write detected");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_reader_sees_a_conditional_put_absent_or_whole() {
+        use std::sync::atomic::AtomicBool;
+        let dir = std::env::temp_dir().join(format!("lake_store_pia_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Arc::new(LocalDirStore::open(&dir).unwrap());
+        let blob: Arc<Vec<u8>> = Arc::new((0..8usize << 20).map(|i| (i % 251) as u8).collect());
+        for round in 0..24 {
+            let key = format!("_log/{round:020}.json");
+            let done = Arc::new(AtomicBool::new(false));
+            let reader = {
+                let (s, key) = (Arc::clone(&s), key.clone());
+                let (blob, done) = (Arc::clone(&blob), Arc::clone(&done));
+                std::thread::spawn(move || {
+                    // Poll until the whole blob shows; record anything else seen.
+                    let mut torn = Vec::new();
+                    loop {
+                        let finished = done.load(std::sync::atomic::Ordering::SeqCst);
+                        match s.get(&key) {
+                            Ok(bytes) if bytes == *blob => return torn,
+                            Ok(bytes) => torn.push(bytes.len()),
+                            Err(LakeError::NotFound(_)) if !finished => {}
+                            Err(e) => panic!("{e:?} after the put returned"),
+                        }
+                    }
+                })
+            };
+            s.put_if_absent(&key, &blob).unwrap();
+            done.store(true, std::sync::atomic::Ordering::SeqCst);
+            let torn = reader.join().unwrap();
+            assert!(torn.is_empty(), "round {round}: partial blobs of lengths {torn:?}");
+        }
+        assert_eq!(std::fs::read_dir(dir.join("_log")).unwrap().count(), 24, "no temp file left");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,13 +6,14 @@
 //! predicate language every store understands, making push-down effects
 //! directly measurable (experiment E9), and it holds the only evaluators
 //! of a conjunction: over a [`Table`] ([`matching_rows`], then [`gather`]),
-//! over a [`Json`] document ([`document_matches`]) and over a columnar
-//! file's statistics ([`stats_rule_out`]). Stores, the mediator and the
+//! over a columnar file as stored ([`scan_file`], both at once), over a
+//! [`Json`] document ([`document_matches`]) and over a columnar file's
+//! statistics ([`stats_rule_out`]). Stores, the mediator and the
 //! lakehouse all call these, so a filter gives the same answer wherever
 //! it runs (DESIGN.md §11a).
 
-use lake_core::{Column, Json, Table, Value};
-use lake_formats::columnar::ColumnStats;
+use lake_core::{Column, Json, Result, Table, Value};
+use lake_formats::columnar::{ColumnStats, ColumnarFile, StoredColumn};
 
 /// A comparison operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +134,57 @@ pub fn gather(table: &Table, rows: &[usize], columns: Option<&[&str]>) -> Vec<Co
     }
 }
 
+/// [`matching_rows`] then [`gather`] on a columnar file as stored, with the
+/// answer they give on its decoded table: the gathered columns and the
+/// matching rows. Only the columns the predicates or `columns` name are
+/// decoded (all of them when `columns` is `None`). A dictionary page stays
+/// entries plus codes, so a predicate is evaluated once per stored entry
+/// and applied by code. Every other column is still checked, so a corrupt
+/// file fails wherever `columnar::decode` fails.
+pub fn scan_file(
+    file: &ColumnarFile<'_>,
+    predicates: &[Predicate],
+    columns: Option<&[&str]>,
+) -> Result<(Vec<Column>, Vec<usize>)> {
+    // As in a `Table`, a name stands for the first column that carries it.
+    let wanted = |i: usize, name: &str| {
+        let named = predicates.iter().any(|p| p.attribute == name)
+            || columns.is_some_and(|c| c.contains(&name));
+        columns.is_none() || (named && file.position(name) == Some(i))
+    };
+    let stored = file.stats().iter().enumerate().map(|(i, s)| {
+        if wanted(i, &s.name) {
+            file.read(i).map(Some)
+        } else {
+            file.check(i).map(|()| None)
+        }
+    });
+    let stored = stored.collect::<Result<Vec<_>>>()?;
+    let column = |name: &str| file.position(name).and_then(|i| stored.get(i))?.as_ref();
+    let mut rows: Vec<usize> = (0..file.num_rows()).collect();
+    for p in predicates {
+        match column(&p.attribute) {
+            None => rows.clear(),
+            Some(StoredColumn::Plain(values)) => {
+                rows.retain(|&r| values.get(r).is_some_and(|v| p.matches(v)));
+            }
+            Some(StoredColumn::Dict { entries, codes }) => {
+                let hit: Vec<bool> = entries.iter().map(|e| p.matches(e)).collect();
+                rows.retain(|&r| codes.get(r).and_then(|&c| hit.get(c as usize)) == Some(&true));
+            }
+        }
+    }
+    let take = |name: &str, col: Option<&StoredColumn>| {
+        let cell = |&r: &usize| col.and_then(|c| c.get(r)).cloned().unwrap_or(Value::Null);
+        Column::new(name, rows.iter().map(cell).collect())
+    };
+    let gathered = match columns {
+        Some(names) => names.iter().map(|n| take(n, column(n))).collect(),
+        None => file.stats().iter().zip(&stored).map(|(s, c)| take(&s.name, c.as_ref())).collect(),
+    };
+    Ok((gathered, rows))
+}
+
 /// Whether `doc` satisfies every predicate, each attribute read as a
 /// dotted path. A missing path never matches.
 pub fn document_matches(doc: &Json, predicates: &[Predicate]) -> bool {
@@ -157,6 +209,10 @@ pub fn stats_rule_out(stats: &[ColumnStats], predicates: &[Predicate]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lake_formats::columnar::{decode, encode};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     #[test]
     fn comparisons_work() {
@@ -303,6 +359,174 @@ mod tests {
         }
         assert_eq!(gather(&no_rows, &[], None), no_rows.columns());
         assert!(gather(&no_cols, &[], None).is_empty());
+    }
+
+    /// What [`scan_file`] must return: `decode`, then [`matching_rows`],
+    /// then [`gather`].
+    fn via_decode(
+        buf: &[u8],
+        preds: &[Predicate],
+        names: Option<&[&str]>,
+    ) -> Result<(Vec<Column>, Vec<usize>)> {
+        let t = decode(buf)?;
+        let rows = matching_rows(&t, preds);
+        Ok((gather(&t, &rows, names), rows))
+    }
+
+    /// `scan_file` fails iff `via_decode` does and otherwise returns the
+    /// same columns in the same representation (`Int(3)` is not `Float(3.0)`
+    /// here, though the two compare equal).
+    fn scan_agrees(buf: &[u8], preds: &[Predicate], names: Option<&[&str]>) -> std::result::Result<(), String> {
+        let got = ColumnarFile::open(buf).and_then(|f| scan_file(&f, preds, names));
+        match (got, via_decode(buf, preds, names)) {
+            (Ok(got), Ok(want)) if format!("{got:?}") == format!("{want:?}") => Ok(()),
+            (Err(_), Err(_)) => Ok(()),
+            (got, want) => Err(format!("{preds:?} {names:?}\n got {got:?}\nwant {want:?}")),
+        }
+    }
+
+    #[test]
+    fn scan_file_agrees_for_every_single_predicate_and_projection() {
+        // Four copies of `mixed` plus Int(3)/Float(3.0) rows make every
+        // column a dictionary page; `mixed` alone stays plain.
+        let once = mixed();
+        let mut rows: Vec<Vec<Value>> = (0..4).flat_map(|_| once.iter_rows()).collect();
+        rows.push(vec![Value::Int(3), Value::str("ab"), Value::Float(3.0)]);
+        rows.push(vec![Value::Float(3.0), Value::str("b"), Value::Int(3)]);
+        let repeated = Table::from_rows("rep", &["n", "s", "f"], rows).unwrap();
+        let projections: [Option<&[&str]>; 4] =
+            [None, Some(&[]), Some(&["f", "missing", "n"]), Some(&["s", "s"])];
+        for t in [mixed(), repeated] {
+            let buf = encode(&t);
+            for p in single_predicates() {
+                for names in projections {
+                    scan_agrees(&buf, std::slice::from_ref(&p), names).unwrap();
+                }
+            }
+            scan_agrees(&buf, &[], None).unwrap();
+        }
+    }
+
+    #[test]
+    fn scan_file_reads_the_first_of_duplicate_columns_and_files_without_columns() {
+        let dup = Table::from_columns(
+            "dup",
+            vec![
+                Column::new("x", vec![Value::Int(1), Value::Int(2), Value::Int(1)]),
+                Column::new("x", vec![Value::Int(9), Value::Int(9), Value::Int(9)]),
+            ],
+        )
+        .unwrap();
+        let buf = encode(&dup);
+        let file = ColumnarFile::open(&buf).unwrap();
+        let (cols, rows) =
+            scan_file(&file, &[Predicate::new("x", CompareOp::Eq, 1i64)], None).unwrap();
+        assert_eq!(rows, vec![0, 2]);
+        assert_eq!(cols[1].values, vec![Value::Int(9); 2], "no projection: every column");
+        let (cols, _) = scan_file(&file, &[], Some(&["x"])).unwrap();
+        assert_eq!(cols[0].values, dup.columns()[0].values);
+        // A file without columns has no rows, whatever its header says.
+        let mut buf = encode(&Table::empty("c"));
+        let rows_at = buf.len() - 2;
+        buf[rows_at] = 5;
+        for names in [None, Some(&["n"][..])] {
+            scan_agrees(&buf, &[], names).unwrap();
+            scan_agrees(&buf, &[Predicate::new("n", CompareOp::Ne, 0i64)], names).unwrap();
+        }
+        let file = ColumnarFile::open(&buf).unwrap();
+        assert_eq!(scan_file(&file, &[], Some(&["n"])).unwrap().0, vec![Column::new("n", vec![])]);
+    }
+
+    /// Nulls, NaN, ±0.0, `Int(3)` beside `Float(3.0)` and strings: the
+    /// cells of random tables and the constants of random predicates.
+    fn value_pool() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-1),
+            Value::Int(2),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::str("a"),
+            Value::str("ab"),
+            Value::str("3"),
+        ]
+    }
+
+    /// Up to four columns named from `a`, `b`, `c`, so names repeat and go
+    /// missing. A column draws from a window of three pool values (a
+    /// dictionary page once it repeats) or from the whole pool.
+    fn random_table(seed: u64) -> Table {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool = value_pool();
+        let rows = rng.random_range(0..40usize);
+        let mut columns = Vec::new();
+        for _ in 0..rng.random_range(0..5usize) {
+            let name = ["a", "b", "c"][rng.random_range(0..3usize)];
+            let spread = if rng.random_bool(0.6) { 3 } else { pool.len() };
+            let from = rng.random_range(0..pool.len());
+            let mut values = Vec::with_capacity(rows);
+            for _ in 0..rows {
+                values.push(pool[(from + rng.random_range(0..spread)) % pool.len()].clone());
+            }
+            columns.push(Column::new(name, values));
+        }
+        Table::from_columns("random", columns).unwrap()
+    }
+
+    /// Up to three predicates and maybe a projection, over the table's
+    /// names and one it never has.
+    fn random_query(seed: u64) -> (Vec<Predicate>, Option<Vec<&'static str>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (pool, names) = (value_pool(), ["a", "b", "c", "zz"]);
+        let mut preds = Vec::new();
+        for _ in 0..rng.random_range(0..4usize) {
+            let attribute = names[rng.random_range(0..names.len())].to_string();
+            let op = OPS[rng.random_range(0..OPS.len())];
+            preds.push(Predicate { attribute, op, value: pool[rng.random_range(0..pool.len())].clone() });
+        }
+        let projection = rng.random_bool(0.7).then(|| {
+            (0..rng.random_range(0..4usize)).map(|_| names[rng.random_range(0..names.len())]).collect()
+        });
+        (preds, projection)
+    }
+
+    proptest! {
+        #[test]
+        fn scan_file_is_decode_then_matching_rows_then_gather(
+            table in any::<u64>(),
+            query in any::<u64>(),
+        ) {
+            let buf = encode(&random_table(table));
+            let (preds, projection) = random_query(query);
+            prop_assert!(scan_agrees(&buf, &preds, projection.as_deref()).is_ok(), "{:?}",
+                scan_agrees(&buf, &preds, projection.as_deref()));
+        }
+
+        // Every truncation and a byte flip at every offset: the scan
+        // fails iff `decode` does, and agrees with it when neither fails.
+        #[test]
+        fn scan_file_fails_iff_decode_fails(
+            table in any::<u64>(),
+            query in any::<u64>(),
+            flip in 1u8..=255,
+        ) {
+            let buf = encode(&random_table(table));
+            let (preds, projection) = random_query(query);
+            let names = projection.as_deref();
+            for at in 0..buf.len() {
+                let agree = scan_agrees(&buf[..at], &preds, names);
+                prop_assert!(agree.is_ok(), "cut at {}: {:?}", at, agree);
+                let mut bad = buf.clone();
+                bad[at] ^= flip;
+                let agree = scan_agrees(&bad, &preds, names);
+                prop_assert!(agree.is_ok(), "flip at {}: {:?}", at, agree);
+            }
+        }
     }
 
     #[test]

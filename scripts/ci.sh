@@ -8,6 +8,8 @@
 #   → bench/ locked build (a refactor that breaks a public item it
 #     imports, or a dependency-list change that stales bench/Cargo.lock,
 #     fails here instead of in the benchmark run)
+#   → clippy on every target (no `-D warnings`: it gates clippy's
+#     deny-by-default lints, and its warnings are printed, not fatal)
 #   → lint (the repo-native static-analysis gate)
 #   → server.sh (the one process-level gate: signals, kill -9, real
 #     fsyncs, the CLI's flags)
@@ -25,6 +27,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo build --release --offline --locked --manifest-path bench/Cargo.toml
+cargo clippy --workspace --all-targets
 cargo run -p lake-lint -- check
 ./scripts/server.sh
 cargo run --release -p lake-bench --bin e15_parallel

@@ -123,8 +123,8 @@ impl Clock for ManualClock {
 
 /// Retry budget and backoff shape for one class of operations.
 ///
-/// Backoff for attempt `k` (1-based; the first retry waits after attempt
-/// 1) is `min(base_delay_ms << (k-1), max_delay_ms)` plus seeded jitter
+/// Backoff for attempt `k` (1-based; the first retry waits after
+/// attempt 1) is `min(base_delay_ms << (k-1), max_delay_ms)` plus seeded jitter
 /// uniform in `[0, delay/2]` — deterministic for a fixed `jitter_seed`,
 /// so chaos runs replay byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -143,7 +143,7 @@ fn acquire(rank: u32, name: &'static str) -> u64 {
         *t
     });
     HELD.with(|h| {
-        h.borrow_mut().push(Held { rank, name, file: site.file(), line: site.line(), token })
+        h.borrow_mut().push(Held { rank, name, file: site.file(), line: site.line(), token });
     });
     token
 }

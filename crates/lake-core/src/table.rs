@@ -132,7 +132,7 @@ impl Table {
                 )));
             }
             let pad = header.len() - row.len();
-            for (col, v) in columns.iter_mut().zip(row.into_iter()) {
+            for (col, v) in columns.iter_mut().zip(row) {
                 col.values.push(v);
             }
             for col in columns.iter_mut().rev().take(pad) {
@@ -209,11 +209,6 @@ impl Table {
         }
         self.rows += 1;
         Ok(())
-    }
-
-    /// Add an all-null column of the given name (used by full disjunction).
-    pub fn add_null_column(&mut self, name: impl Into<String>) {
-        self.columns.push(Column::new(name, vec![Value::Null; self.rows]));
     }
 
     /// Project onto the named columns, in the given order.

@@ -40,18 +40,13 @@ impl DataType {
         }
     }
 
-    /// Whether this type is numeric (int or float).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-
     /// The least general type that can represent both `self` and `other`.
     ///
     /// Used when inferring a column type from heterogeneous raw values:
     /// `int ∪ float = float`, anything incompatible widens to `str`, and
     /// `null` is the identity.
     pub fn unify(self, other: DataType) -> DataType {
-        use DataType::*;
+        use DataType::{Float, Int, Null, Str};
         match (self, other) {
             (Null, t) | (t, Null) => t,
             (a, b) if a == b => a,
@@ -239,7 +234,7 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
+        use Value::{Bool, Float, Int, Null, Str};
         fn rank(v: &Value) -> u8 {
             match v {
                 Null => 0,

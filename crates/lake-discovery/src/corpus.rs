@@ -341,7 +341,7 @@ impl TableCorpus {
             if t == query_table {
                 continue;
             }
-            if best[t].map_or(true, |b| score > b) {
+            if best[t].is_none_or(|b| score > b) {
                 best[t] = Some(score);
             }
         }

@@ -136,8 +136,8 @@ impl IncrementalDiscovery {
     /// descending, excluding `at` itself.
     pub fn top_k_overlap(&self, at: ColumnRef, k: usize) -> Vec<(usize, usize)> {
         let Some(pi) = self.corpus.profile_index(at) else { return Vec::new() };
-        let Some(p) = self.corpus.profiles().get(pi) else { return Vec::new() };
-        let mut hits = self.inverted().overlap_counts(p.domain.iter().cloned());
+        // Profile `pi` is indexed as set `pi`: count on its token ids.
+        let mut hits = self.inverted().overlap_counts(pi);
         hits.retain(|&(id, _)| id != pi);
         hits.truncate(k);
         hits

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 /// The search task type, which selects the relatedness signals (§7.1's
 /// exploration mode 3: "given the user-specified table T and the search
 /// type τ").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SearchType {
     /// Find additional rows for training/validation data: rewards instance
     /// overlap on keys plus *new instance rate*.
@@ -32,6 +32,7 @@ pub enum SearchType {
     /// null-value differences.
     Cleaning,
     /// Default blend.
+    #[default]
     General,
 }
 
@@ -109,12 +110,6 @@ pub struct Juneau {
     /// Schema-overlap pruning threshold: candidates sharing no attribute
     /// token with the query are skipped (Juneau's pruning strategy).
     pub prune_threshold: f64,
-}
-
-impl Default for SearchType {
-    fn default() -> Self {
-        SearchType::General
-    }
 }
 
 impl Juneau {

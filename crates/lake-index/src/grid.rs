@@ -45,9 +45,9 @@ impl Level {
     fn min_dist(&self, v: &[f64], cell: &[u32]) -> f64 {
         let width = 2.0 / self.resolution as f64;
         let mut s = 0.0;
-        for d in 0..self.dims {
+        for (d, &c) in cell.iter().enumerate().take(self.dims) {
             let x = v.get(d).copied().unwrap_or(0.0);
-            let lo = -1.0 + cell[d] as f64 * width;
+            let lo = -1.0 + c as f64 * width;
             let hi = lo + width;
             let gap = if x < lo {
                 lo - x

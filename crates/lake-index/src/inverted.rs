@@ -6,16 +6,37 @@
 //! exposes posting-list lengths — the statistic JOSIE's cost model uses to
 //! decide whether reading a posting list or probing a candidate set is
 //! cheaper.
+//!
+//! Tokens are interned, as JOSIE defines its search over integer token
+//! ids. A dictionary maps each distinct string to a `u32` id and back;
+//! postings are a `Vec` indexed by token id, and a set is the list of its
+//! token ids in the set's *string* order. Ids are append-only and handed
+//! out in first-seen order, so an incrementally maintained index and a
+//! rebuild over the same sets may number tokens differently: nothing
+//! observable may depend on the numbering, and anything ordered reads
+//! the strings through the id → string table. A token whose posting list
+//! empties keeps its id (and gets it back if it returns);
+//! [`InvertedIndex::num_tokens`] counts only live tokens, those with a
+//! non-empty posting list, so it still equals a rebuild's count.
+//!
+//! Set ids index dense per-set tables, so they should be small.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// An inverted index over sets of string tokens.
+/// An inverted index over sets of string tokens, stored as token ids.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
-    postings: HashMap<String, Vec<usize>>,
-    set_sizes: HashMap<usize, usize>,
-    /// Tokens per set, kept for probing (set id → sorted distinct tokens).
-    sets: HashMap<usize, Vec<String>>,
+    /// Token dictionary, string → id.
+    ids: HashMap<Arc<str>, u32>,
+    /// Token dictionary, id → string.
+    tokens: Vec<Arc<str>>,
+    /// Posting list per token id: ascending set ids.
+    postings: Vec<Vec<usize>>,
+    /// Tokens with a non-empty posting list.
+    live_tokens: usize,
+    /// Set id → its distinct token ids, in ascending string order.
+    sets: Vec<Option<Vec<u32>>>,
 }
 
 impl InvertedIndex {
@@ -40,49 +61,38 @@ impl InvertedIndex {
     /// the postings invariant.
     ///
     /// Replacing an existing set applies the sorted diff of its old and
-    /// new token lists: postings are touched only for tokens that left or
-    /// arrived, and a token that stayed keeps its allocation. The state
-    /// reached is the one a [`InvertedIndex::remove`] and fresh insert
-    /// would reach.
+    /// new token lists, reading the old tokens through the dictionary:
+    /// postings are touched, and the dictionary is hashed, only for
+    /// tokens that left or arrived. The state reached is the one a
+    /// [`InvertedIndex::remove`] and fresh insert would reach.
     pub fn insert_sorted<T>(&mut self, id: usize, tokens: impl IntoIterator<Item = T>)
     where
         T: AsRef<str> + Into<String>,
     {
-        let mut old = self
-            .sets
-            .remove(&id)
-            .unwrap_or_default()
-            .into_iter()
-            .peekable();
-        let mut distinct: Vec<String> = Vec::with_capacity(old.len());
-        // Positions in `distinct` of the tokens the old set did not hold.
-        let mut arrived: Vec<usize> = Vec::new();
+        let mut old = self.take_set(id).unwrap_or_default().into_iter().peekable();
+        let mut distinct: Vec<u32> = Vec::with_capacity(old.len());
         for tok in tokens {
             let new = tok.as_ref();
-            if distinct.last().is_some_and(|prev| prev.as_str() >= new) {
+            if distinct.last().is_some_and(|&prev| self.token(prev) >= new) {
                 continue;
             }
-            while let Some(left) = old.next_if(|o| o.as_str() < new) {
-                self.unpost(&left, id);
+            while let Some(left) = old.next_if(|&o| self.token(o) < new) {
+                self.unpost(left, id);
             }
-            match old.next_if(|o| o.as_str() == new) {
-                Some(stayed) => distinct.push(stayed),
+            let tid = match old.next_if(|&o| self.token(o) == new) {
+                Some(stayed) => stayed,
                 None => {
-                    arrived.push(distinct.len());
-                    distinct.push(tok.into());
+                    let arrived = self.intern(new);
+                    self.post(arrived, id);
+                    arrived
                 }
-            }
+            };
+            distinct.push(tid);
         }
         for left in old {
-            self.unpost(&left, id);
+            self.unpost(left, id);
         }
-        // Posting keys are cloned after the set's own tokens, so each
-        // group stays contiguous on the heap for `merge` to walk.
-        for tok in arrived.into_iter().filter_map(|at| distinct.get(at)) {
-            self.post(tok, id);
-        }
-        self.set_sizes.insert(id, distinct.len());
-        self.sets.insert(id, distinct);
+        self.put_set(id, distinct);
     }
 
     /// Fold another index into this one (set ids must be disjoint; a
@@ -92,63 +102,120 @@ impl InvertedIndex {
     /// This is the reassembly half of parallel posting construction:
     /// shards built over *contiguous, ascending* id ranges merge in shard
     /// order, each posting-list append lands at (or binary-searches to)
-    /// the tail, and the merged index is byte-identical to one built by a
-    /// single sequential insert loop.
+    /// the tail, and `other`'s sets are re-interned in ascending id
+    /// order, so the merged index — token ids included — is identical to
+    /// one built by a single sequential insert loop.
     pub fn merge(&mut self, other: InvertedIndex) {
-        for (id, tokens) in other.sets {
-            if self.sets.contains_key(&id) {
-                self.remove(id);
+        let mut remap: Vec<Option<u32>> = vec![None; other.tokens.len()];
+        for (id, set) in other.sets.into_iter().enumerate() {
+            let Some(mut set) = set else { continue };
+            self.remove(id);
+            for tid in &mut set {
+                let mine = *remap[*tid as usize]
+                    .get_or_insert_with(|| self.intern(Arc::clone(&other.tokens[*tid as usize])));
+                self.post(mine, id);
+                *tid = mine;
             }
-            for tok in &tokens {
-                self.post(tok, id);
-            }
-            self.set_sizes.insert(id, tokens.len());
-            self.sets.insert(id, tokens);
+            self.put_set(id, set);
         }
     }
 
     /// Remove a set.
     pub fn remove(&mut self, id: usize) {
-        let Some(tokens) = self.sets.remove(&id) else { return };
-        self.set_sizes.remove(&id);
-        for tok in tokens {
-            self.unpost(&tok, id);
+        for tid in self.take_set(id).unwrap_or_default() {
+            self.unpost(tid, id);
         }
     }
 
-    /// Add `id` to the posting list of `tok`.
-    fn post(&mut self, tok: &str, id: usize) {
-        let list = self.postings.entry(tok.to_owned()).or_default();
+    /// The id of `tok`, adding it to the dictionary if it is new.
+    fn intern<S: AsRef<str> + Into<Arc<str>>>(&mut self, tok: S) -> u32 {
+        if let Some(&tid) = self.ids.get(tok.as_ref()) {
+            return tid;
+        }
+        // 2^32 distinct strings would not fit in memory, so no id wraps.
+        let tid = self.tokens.len() as u32;
+        let tok: Arc<str> = tok.into();
+        self.ids.insert(Arc::clone(&tok), tid);
+        self.tokens.push(tok);
+        self.postings.push(Vec::new());
+        tid
+    }
+
+    /// Add `id` to the posting list of token `tid`.
+    fn post(&mut self, tid: u32, id: usize) {
+        let list = &mut self.postings[tid as usize];
+        if list.is_empty() {
+            self.live_tokens += 1;
+        }
         if let Err(pos) = list.binary_search(&id) {
             list.insert(pos, id);
         }
     }
 
-    /// Take `id` off the posting list of `tok`, dropping an emptied list.
-    fn unpost(&mut self, tok: &str, id: usize) {
-        if let Some(list) = self.postings.get_mut(tok) {
-            if let Ok(pos) = list.binary_search(&id) {
-                list.remove(pos);
-            }
+    /// Take `id` off the posting list of token `tid`, freeing an emptied
+    /// list (the token keeps its id).
+    fn unpost(&mut self, tid: u32, id: usize) {
+        let list = &mut self.postings[tid as usize];
+        if let Ok(pos) = list.binary_search(&id) {
+            list.remove(pos);
             if list.is_empty() {
-                self.postings.remove(tok);
+                self.live_tokens -= 1;
+                *list = Vec::new();
             }
         }
     }
 
+    fn take_set(&mut self, id: usize) -> Option<Vec<u32>> {
+        self.sets.get_mut(id).and_then(Option::take)
+    }
+
+    fn put_set(&mut self, id: usize, tokens: Vec<u32>) {
+        if self.sets.len() <= id {
+            self.sets.resize_with(id + 1, || None);
+        }
+        self.sets[id] = Some(tokens);
+    }
+
     /// Number of indexed sets.
     pub fn num_sets(&self) -> usize {
+        self.sets.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Number of live tokens: those some indexed set holds.
+    pub fn num_tokens(&self) -> usize {
+        self.live_tokens
+    }
+
+    /// One past the largest set id ever indexed: the length of a dense
+    /// per-set table.
+    pub fn set_id_bound(&self) -> usize {
         self.sets.len()
     }
 
-    /// Number of distinct tokens.
-    pub fn num_tokens(&self) -> usize {
-        self.postings.len()
+    /// Number of token ids handed out, live or not: the length of a
+    /// dense per-token table.
+    pub fn token_id_bound(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// The id of `tok`, if the dictionary holds it.
+    pub fn token_id(&self, tok: &str) -> Option<u32> {
+        self.ids.get(tok).copied()
+    }
+
+    /// The string of token id `tid`.
+    fn token(&self, tid: u32) -> &str {
+        &self.tokens[tid as usize]
     }
 
     /// The posting list for `token` (sorted set ids), empty if absent.
     pub fn posting(&self, token: &str) -> &[usize] {
-        self.postings.get(token).map(Vec::as_slice).unwrap_or(&[])
+        self.token_id(token).map_or(&[], |tid| self.posting_by_id(tid))
+    }
+
+    /// The posting list of token id `tid` (sorted set ids).
+    pub fn posting_by_id(&self, tid: u32) -> &[usize] {
+        &self.postings[tid as usize]
     }
 
     /// Posting-list length for `token` — the cost-model statistic.
@@ -158,55 +225,60 @@ impl InvertedIndex {
 
     /// Size (distinct tokens) of set `id`.
     pub fn set_size(&self, id: usize) -> usize {
-        self.set_sizes.get(&id).copied().unwrap_or(0)
+        self.set_token_ids(id).len()
+    }
+
+    /// The token ids of set `id` in ascending string order (empty if
+    /// absent).
+    pub fn set_token_ids(&self, id: usize) -> &[u32] {
+        self.sets.get(id).and_then(Option::as_deref).unwrap_or(&[])
     }
 
     /// The sorted distinct tokens of set `id` (empty if absent).
-    pub fn set_tokens(&self, id: usize) -> &[String] {
-        self.sets.get(&id).map(Vec::as_slice).unwrap_or(&[])
+    pub fn set_tokens(&self, id: usize) -> Vec<&str> {
+        self.set_token_ids(id).iter().map(|&tid| self.token(tid)).collect()
     }
 
-    /// Exact overlap (intersection size) between a query token list and
-    /// set `id`, by merging sorted token lists.
-    pub fn overlap_with(&self, query_sorted: &[String], id: usize) -> usize {
-        merge_overlap(query_sorted.iter().map(String::as_str), self.set_tokens(id))
+    /// Exact overlap (intersection size) between a sorted query token
+    /// list and set `id`, by merging sorted token lists.
+    pub fn overlap_with<S: AsRef<str>>(&self, query_sorted: &[S], id: usize) -> usize {
+        let set = self.set_token_ids(id).iter().map(|&tid| self.token(tid));
+        merge_overlap(query_sorted.iter().map(AsRef::as_ref), set)
     }
 
-    /// Borrowed-token variant of [`InvertedIndex::overlap_with`] — lets
-    /// callers probe with `&str` views of a profile domain without
-    /// cloning the query tokens first.
-    pub fn overlap_with_strs(&self, query_sorted: &[&str], id: usize) -> usize {
-        merge_overlap(query_sorted.iter().copied(), self.set_tokens(id))
-    }
-
-    /// Accumulate overlap counts for `query` across all indexed sets by
-    /// scanning posting lists — the "merge everything" baseline JOSIE's
-    /// cost model improves on. Returns `(set id, overlap)` sorted by
-    /// overlap descending.
-    pub fn overlap_counts(&self, query: impl IntoIterator<Item = String>) -> Vec<(usize, usize)> {
-        let mut distinct: Vec<String> = query.into_iter().collect();
-        distinct.sort();
-        distinct.dedup();
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for tok in &distinct {
-            for &id in self.posting(tok) {
-                *counts.entry(id).or_insert(0) += 1;
+    /// Overlap counts of indexed set `set` against every indexed set
+    /// (itself included) by scanning the posting list of each of its
+    /// tokens — the "merge everything" baseline JOSIE's cost model
+    /// improves on. Returns `(set id, overlap)` by overlap descending,
+    /// then id ascending; empty if `set` is not indexed.
+    pub fn overlap_counts(&self, set: usize) -> Vec<(usize, usize)> {
+        let mut counts = vec![0usize; self.sets.len()];
+        let mut touched: Vec<usize> = Vec::new();
+        for &tid in self.set_token_ids(set) {
+            for &id in self.posting_by_id(tid) {
+                if counts[id] == 0 {
+                    touched.push(id);
+                }
+                counts[id] += 1;
             }
         }
-        let mut v: Vec<(usize, usize)> = counts.into_iter().collect();
+        let mut v: Vec<(usize, usize)> = touched.into_iter().map(|id| (id, counts[id])).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 }
 
 /// Sorted-merge intersection count of two ascending token sequences.
-pub(crate) fn merge_overlap<'a>(query: impl Iterator<Item = &'a str>, set: &[String]) -> usize {
-    let mut it = set.iter();
+pub(crate) fn merge_overlap<'a>(
+    query: impl Iterator<Item = &'a str>,
+    set: impl Iterator<Item = &'a str>,
+) -> usize {
+    let mut it = set;
     let mut cur = it.next();
     let mut n = 0;
     for q in query {
         while let Some(s) = cur {
-            match s.as_str().cmp(q) {
+            match s.cmp(q) {
                 std::cmp::Ordering::Less => cur = it.next(),
                 std::cmp::Ordering::Equal => {
                     n += 1;
@@ -308,17 +380,38 @@ mod tests {
         let q = toks(&["b", "c", "d"]);
         let qs: Vec<&str> = q.iter().map(String::as_str).collect();
         for id in [1, 2, 3, 99] {
-            assert_eq!(ix.overlap_with_strs(&qs, id), ix.overlap_with(&q, id));
+            assert_eq!(ix.overlap_with(&qs, id), ix.overlap_with(&q, id));
         }
     }
 
     #[test]
     fn overlap_counts_rank_by_intersection() {
         let ix = index();
-        let res = ix.overlap_counts(toks(&["b", "c", "d"]));
-        assert_eq!(res[0], (2, 3));
-        assert_eq!(res[1], (1, 2));
-        assert!(!res.iter().any(|&(id, _)| id == 3));
+        // Set 2 is {b, c, d}: it overlaps itself fully and set 1 in two.
+        let res = ix.overlap_counts(2);
+        assert_eq!(res, vec![(2, 3), (1, 2)]);
+        assert!(ix.overlap_counts(99).is_empty());
+    }
+
+    #[test]
+    fn token_ids_are_first_seen_and_outlive_their_postings() {
+        let mut ix = InvertedIndex::new();
+        ix.insert(0, toks(&["m", "z"]));
+        ix.insert(1, toks(&["a", "m"]));
+        let id = |ix: &InvertedIndex, t| ix.token_id(t).unwrap();
+        assert_eq!((id(&ix, "m"), id(&ix, "z"), id(&ix, "a")), (0, 1, 2));
+        // A set lists its ids in string order, not id order.
+        assert_eq!(ix.set_token_ids(1), &[2, 0]);
+        assert_eq!(ix.set_tokens(1), ["a", "m"]);
+        // "z" leaves every set: it stops counting but keeps its id, and
+        // gets the same id back when it returns.
+        ix.remove(0);
+        assert_eq!((ix.num_tokens(), ix.token_id_bound()), (2, 3));
+        assert_eq!(ix.posting("z"), &[] as &[usize]);
+        ix.insert_sorted(5, ["z"]);
+        assert_eq!(id(&ix, "z"), 1);
+        assert_eq!(ix.num_tokens(), 3);
+        assert_eq!((ix.num_sets(), ix.set_id_bound()), (2, 6));
     }
 
     #[test]

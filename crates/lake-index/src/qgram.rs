@@ -36,7 +36,7 @@ pub fn qgram_set(s: &str, q: usize) -> Vec<String> {
 /// Jaccard similarity of two **ascending, distinct** string lists by a
 /// sorted merge (0 when both are empty).
 pub fn sorted_jaccard(a: &[String], b: &[String]) -> f64 {
-    let inter = merge_overlap(a.iter().map(String::as_str), b);
+    let inter = merge_overlap(a.iter().map(String::as_str), b.iter().map(String::as_str));
     jaccard_from_counts(a.len(), b.len(), inter)
 }
 

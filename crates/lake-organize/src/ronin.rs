@@ -92,7 +92,7 @@ impl Ronin {
             let toks = self.keyword_index.set_tokens(ti);
             let hits = keywords
                 .iter()
-                .filter(|k| toks.contains(&k.to_lowercase()))
+                .filter(|k| toks.contains(&k.to_lowercase().as_str()))
                 .count();
             if hits > 0 {
                 counts.push((ti, hits));
@@ -106,9 +106,8 @@ impl Ronin {
     /// overlap, ranked.
     pub fn pivot(&self, table: usize, column: usize) -> Exploration {
         let key = table * 1000 + column;
-        let query: Vec<String> = self.domain_index.set_tokens(key).to_vec();
         let mut per_table: Vec<(usize, usize)> = Vec::new();
-        for (id, overlap) in self.domain_index.overlap_counts(query) {
+        for (id, overlap) in self.domain_index.overlap_counts(key) {
             let t = id / 1000;
             if t == table {
                 continue;

@@ -270,8 +270,18 @@ fn kill_nine_mid_swarm_preserves_every_acked_write() {
                 })
             })
             .collect();
-        std::thread::sleep(std::time::Duration::from_millis(120));
+        // Kill once the swarm has acknowledged writes, not after a fixed
+        // delay: on a slow-fsync disk a timer can fire before any ack.
         let mut server = server;
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while acked_puts.lock().unwrap().len() < 8 {
+            if std::time::Instant::now() >= deadline {
+                let _ = server.child.kill();
+                let _ = server.child.wait();
+                panic!("seed {seed}: fewer than 8 puts acked within 10 s of starting the swarm");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
         server.child.kill().unwrap(); // SIGKILL — no cleanup of any kind
         server.child.wait().unwrap();
         for c in clients {

@@ -103,8 +103,8 @@ fn main() -> lake_core::Result<()> {
     println!("E14 — degraded vs strict federated execution ({ROWS} rows × 3 sources)");
     println!("(sim ms = ManualClock time: injected hangs + retry backoff; deterministic)\n");
     println!(
-        "{:<15} {:<9} {:>7} {:>8} {:>8}  {}",
-        "scenario", "mode", "rows", "partial", "sim ms", "completeness"
+        "{:<15} {:<9} {:>7} {:>8} {:>8}  completeness",
+        "scenario", "mode", "rows", "partial", "sim ms"
     );
 
     let registry = MetricsRegistry::new();

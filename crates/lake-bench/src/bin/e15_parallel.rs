@@ -22,6 +22,9 @@ use lake_discovery::josie::Josie;
 use lake_discovery::{DiscoverySystem, TableCorpus};
 use std::time::Instant;
 
+/// Builds a discovery system at a given parallelism.
+type SystemCtor = Box<dyn Fn(Parallelism) -> Box<dyn DiscoverySystem>>;
+
 fn lake_config() -> LakeGenConfig {
     LakeGenConfig {
         groups: 6,
@@ -69,11 +72,11 @@ fn main() {
 
     // Per-system: build + query fan-out, identical precision/recall.
     println!(
-        "\n{:>24} {:>10} {:>12} {:>12} {:>9}  {}",
-        "system", "queries", "seq bld ms", "par bld ms", "speedup", "p@k / r@k (verified equal)"
+        "\n{:>24} {:>10} {:>12} {:>12} {:>9}  p@k / r@k (verified equal)",
+        "system", "queries", "seq bld ms", "par bld ms", "speedup"
     );
     let clock = SystemClock;
-    let systems: Vec<(&str, Box<dyn Fn(Parallelism) -> Box<dyn DiscoverySystem>>)> = vec![
+    let systems: Vec<(&str, SystemCtor)> = vec![
         (
             "Aurum",
             Box::new(|p| {

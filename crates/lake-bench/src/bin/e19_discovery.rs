@@ -33,6 +33,9 @@ use lake_discovery::{DiscoverySystem, IncrementalDiscovery, TableCorpus};
 use lake_ingest::stream::StreamIngestor;
 use std::time::Instant;
 
+/// Builds a fresh discovery system.
+type SystemCtor = Box<dyn Fn() -> Box<dyn DiscoverySystem>>;
+
 /// ~1M rows: 8 groups × 4 tables × ~28k rows + 4 noise tables. Larger
 /// tables over the same pools (keys, cities, products, the 100k-cent
 /// price grid) give the value-frequency skew real lakes show — which is
@@ -74,7 +77,7 @@ fn assert_topk_equal(col: &TableCorpus, row: &TableCorpus, par: Parallelism, k: 
         .filter_map(|g| col.table_index(&format!("g{g}_t0")))
         .collect();
     let mut verified = 0;
-    let systems: Vec<(&str, Box<dyn Fn() -> Box<dyn DiscoverySystem>>)> = vec![
+    let systems: Vec<(&str, SystemCtor)> = vec![
         ("Aurum", Box::new(move || {
             let mut s = Aurum::default();
             s.par = par;

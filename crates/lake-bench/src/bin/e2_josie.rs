@@ -30,9 +30,9 @@ fn main() {
         // Plant near-duplicates of each query set: real lakes contain
         // joinable columns, and these high overlaps are what raise the
         // k-th-best bound enough for the cost model's pruning to bite.
-        for q in 0..25usize {
+        for (q, set) in sets.iter().enumerate().take(25) {
             for d in 0..12usize {
-                let mut near = sets[q].clone();
+                let mut near = set.clone();
                 near.truncate(70);
                 near.extend((0..10).map(|i| format!("x{q}_{d}_{i}")));
                 josie.insert_set(1_000 + q * 12 + d, near);
@@ -44,14 +44,14 @@ fn main() {
         let mut fast_time = 0.0;
         let mut slow_time = 0.0;
         let mut all_exact = true;
-        for q in 0..25 {
+        for (q, set) in sets.iter().enumerate().take(25) {
             let t0 = Instant::now();
-            let (fast, stats) = josie.top_k_overlap(&sets[q], 10, &[q]);
+            let (fast, stats) = josie.top_k_overlap(set, 10, &[q]);
             fast_time += t0.elapsed().as_secs_f64() * 1e6;
             total_fast_posts += stats.postings_read;
 
             let t1 = Instant::now();
-            let (slow, work) = josie.top_k_baseline(&sets[q], 10, &[q]);
+            let (slow, work) = josie.top_k_baseline(set, 10, &[q]);
             slow_time += t1.elapsed().as_secs_f64() * 1e6;
             total_slow_posts += work;
 

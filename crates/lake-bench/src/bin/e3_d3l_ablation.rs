@@ -15,10 +15,10 @@ fn main() {
     println!("{:<24} {:>6} {:>6}", "configuration", "P@2", "R@2");
     println!("{}", "-".repeat(40));
 
-    for f in 0..NUM_FEATURES {
+    for (f, name) in FEATURE_NAMES.iter().enumerate().take(NUM_FEATURES) {
         let mut sys = D3l::with_single_feature(f);
         let r = evaluate(&mut sys, &corpus, &truth, 2);
-        println!("{:<24} {:>6.2} {:>6.2}", format!("only {}", FEATURE_NAMES[f]), r.precision_at_k, r.recall_at_k);
+        println!("{:<24} {:>6.2} {:>6.2}", format!("only {name}"), r.precision_at_k, r.recall_at_k);
     }
 
     let mut uniform = D3l::default();

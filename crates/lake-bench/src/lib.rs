@@ -14,6 +14,16 @@
 //! | `fig2_pipeline` | Fig. 2 — per-tier end-to-end trace |
 //! | `e1_lsh_scaling` … `e12_alite` | experiments E1–E12 |
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod trajectory;
 
 use lake_core::synth::{generate_lake, GroundTruth, LakeGenConfig};

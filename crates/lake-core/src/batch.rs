@@ -27,6 +27,8 @@
 //! to the naive row path (`e19_discovery` gates this on the million-row
 //! lake).
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::table::{Column, Table};
 use crate::value::{DataType, Value};
 use crate::{LakeError, Result};

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn io_error_converts() {
-        let e: LakeError = std::io::Error::new(std::io::ErrorKind::Other, "boom").into();
+        let e: LakeError = std::io::Error::other("boom").into();
         assert!(matches!(e, LakeError::Io(_)));
     }
 

@@ -10,6 +10,16 @@
 //! Everything in the platform is built on top of this crate; it has no
 //! dependency on any storage or algorithm crate.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod batch;
 pub mod crash;
 pub mod dataset;

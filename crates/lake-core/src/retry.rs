@@ -44,6 +44,7 @@ pub trait Clock: Send + Sync {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SystemClock;
 
+#[expect(clippy::disallowed_methods, reason = "the production clock owns the real time source")]
 impl Clock for SystemClock {
     fn sleep_ms(&self, ms: u64) {
         if ms > 0 {

@@ -291,7 +291,7 @@ pub fn generate_lake(cfg: &LakeGenConfig) -> SynthLake {
                 .map(|_| Value::str(products[zipf_prod.sample(&mut rng)]))
                 .collect();
 
-            let table = Table::from_columns(
+            let table = assemble(
                 tname.clone(),
                 vec![
                     Column::new(key_col.clone(), keys),
@@ -299,8 +299,7 @@ pub fn generate_lake(cfg: &LakeGenConfig) -> SynthLake {
                     Column::new(price_col.clone(), prices),
                     Column::new(prod_col.clone(), prods),
                 ],
-            )
-            .expect("generated columns are equal-length");
+            );
 
             // Plant ground truth against every earlier member of the group.
             for (other_t, other_key) in &members {
@@ -343,19 +342,24 @@ pub fn generate_lake(cfg: &LakeGenConfig) -> SynthLake {
             .map(|_| Value::str(*pick(vocab::FIRST_NAMES, &mut rng)))
             .collect();
         let nums: Vec<Value> = (0..rows).map(|_| Value::Int(rng.random_range(0..1_000_000))).collect();
-        let t = Table::from_columns(
+        tables.push(assemble(
             tname,
             vec![
                 Column::new(format!("nid_{n}"), ids),
                 Column::new(format!("label_{n}"), names),
                 Column::new(format!("metric_{n}"), nums),
             ],
-        )
-        .expect("generated columns are equal-length");
-        tables.push(t);
+        ));
     }
 
     SynthLake { tables, truth }
+}
+
+/// Assemble a generated table. Every generator draws all of a table's
+/// columns for one shared row count, so `from_columns` cannot fail here.
+#[expect(clippy::expect_used, reason = "generated columns share one row count")]
+fn assemble(name: String, columns: Vec<Column>) -> Table {
+    Table::from_columns(name, columns).expect("generated columns are equal-length")
 }
 
 /// Generate a fruit/brand table corpus with planted *domains* and
@@ -380,11 +384,10 @@ pub fn generate_domain_corpus(seed: u64, tables_per_domain: usize, rows: usize) 
             let col = format!("attr_{t}");
             let vals: Vec<Value> = (0..rows).map(|_| Value::str(*pick(words, &mut rng))).collect();
             let ids: Vec<Value> = (0..rows).map(|i| Value::Int(i as i64)).collect();
-            let table = Table::from_columns(
+            let table = assemble(
                 tname.clone(),
                 vec![Column::new("row_id", ids), Column::new(col.clone(), vals)],
-            )
-            .expect("equal-length");
+            );
             labels.push((tname, col, dname.to_string()));
             tables.push(table);
         }

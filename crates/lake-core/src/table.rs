@@ -340,7 +340,7 @@ mod tests {
         let t = sample();
         let p = t.project(&["city"]).unwrap();
         assert_eq!(p.num_columns(), 1);
-        let big = t.filter(|row| row[2].as_i64().map_or(false, |p| p > 3_000_000));
+        let big = t.filter(|row| row[2].as_i64().is_some_and(|p| p > 3_000_000));
         assert_eq!(big.num_rows(), 1);
         assert_eq!(big.column("city").unwrap().values[0], Value::str("berlin"));
         assert!(t.project(&["nope"]).is_err());

@@ -335,7 +335,7 @@ mod tests {
 
     #[test]
     fn ordering_is_total_and_cross_type() {
-        let mut vs = vec![
+        let mut vs = [
             Value::str("b"),
             Value::Float(f64::NAN),
             Value::Int(3),

@@ -39,6 +39,8 @@
 //! regression trained on labelled pairs. Experiment E3 ablates each
 //! feature against the trained combination.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::corpus::{ColumnProfile, TableCorpus};
 use crate::{DiscoverySystem, SystemInfo};
 use lake_core::par::{self, Parallelism};

@@ -20,6 +20,8 @@
 //!
 //! Per-flush cost is O(changed columns), not O(corpus).
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::aurum::{signature_lsh, upsert_signature};
 use crate::corpus::{ColumnRef, TableCorpus};
 use crate::d3l::D3l;

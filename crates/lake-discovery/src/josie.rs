@@ -584,9 +584,9 @@ mod tests {
                 j.index.insert(id, set.iter().cloned());
                 sets.push(set);
             }
-            for q in 0..10 {
-                let (fast, _) = j.top_k_overlap(&sets[q], 5, &[q]);
-                let (slow, _) = j.top_k_baseline(&sets[q], 5, &[q]);
+            for (q, set) in sets.iter().enumerate().take(10) {
+                let (fast, _) = j.top_k_overlap(set, 5, &[q]);
+                let (slow, _) = j.top_k_baseline(set, 5, &[q]);
                 let fast_ov: Vec<usize> = fast.iter().map(|&(_, o)| o).collect();
                 let slow_ov: Vec<usize> = slow.iter().map(|&(_, o)| o).collect();
                 assert_eq!(fast_ov, slow_ov, "alpha={alpha} q={q}");

@@ -302,8 +302,7 @@ mod tests {
     #[test]
     fn pruning_threshold_drops_disjoint_schemas() {
         let (corpus, _) = setup();
-        let mut j = Juneau::default();
-        j.prune_threshold = 0.01;
+        let j = Juneau { prune_threshold: 0.01, ..Juneau::default() };
         let q = corpus.table_index("g0_t0").unwrap();
         let noise = corpus.table_index("noise_t0").unwrap();
         // Noise tables share no attribute names with group tables.

@@ -19,6 +19,16 @@
 //! [`corpus`] holds the shared column-profile machinery, [`eval`] the
 //! precision/recall harness used by experiments T3 and E1–E4.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod aurum;
 pub mod brackenbury;
 pub mod corpus;

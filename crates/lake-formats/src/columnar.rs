@@ -17,6 +17,8 @@
 //! Its column statistics need no payload at all — exactly what lakehouse
 //! data skipping (§8.3) and catalog profiling need.
 
+#![deny(clippy::indexing_slicing)]
+
 use crate::varint::{
     get_f64, get_i64, get_str, get_str_ref, get_u64, put_f64, put_i64, put_str, put_u64,
 };

@@ -168,9 +168,10 @@ fn lz77_encode(data: &[u8], out: &mut Vec<u8>) {
             put_u64(out, best_dist as u64);
             put_u64(out, best_len as u64);
             // Insert hash entries for skipped positions (cheap, improves later matches).
-            for j in i + 1..(i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1)) {
+            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+            for (j, p) in prev.iter_mut().enumerate().take(end).skip(i + 1) {
                 let h = hash4(data, j);
-                prev[j] = head[h];
+                *p = head[h];
                 head[h] = j;
             }
             i += best_len;

@@ -12,6 +12,16 @@
 //! loading; the lakehouse (`lake-house`) uses the columnar encoding and its
 //! statistics for data skipping.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod columnar;
 pub mod compress;
 pub mod csv;

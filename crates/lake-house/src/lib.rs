@@ -20,6 +20,17 @@
 //!   commits, checkpoints, retries, and recovery, attached with
 //!   [`log::TxnLog::with_obs`] / [`table::LakeTable::with_obs`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
+
 pub mod log;
 pub mod obs;
 pub mod recovery;

@@ -360,7 +360,7 @@ impl<'a> TxnLog<'a> {
         let payload = doc.to_string();
         match self.run_retry(|| self.store.put_if_absent(&key, payload.as_bytes())) {
             Ok(()) => {
-                if self.checkpoint_every > 0 && next % self.checkpoint_every == 0 {
+                if self.checkpoint_every > 0 && next.is_multiple_of(self.checkpoint_every) {
                     // Best-effort checkpoint (readers never require it).
                     let _span = self.obs.as_ref().and_then(|o| o.span("house.checkpoint"));
                     if let Ok(snap) = self.snapshot_at(next) {

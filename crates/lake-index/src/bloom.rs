@@ -74,10 +74,8 @@ impl BloomFilter {
         if buf.len() != 12 + words * 8 {
             return None;
         }
-        let bits = buf[12..]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")))
-            .collect();
+        let (words, _) = buf[12..].as_chunks::<8>();
+        let bits = words.iter().map(|&w| u64::from_le_bytes(w)).collect();
         Some(BloomFilter { bits, num_bits, hashes })
     }
 

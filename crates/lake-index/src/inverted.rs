@@ -437,8 +437,8 @@ mod tests {
         let mut merged = InvertedIndex::new();
         for (lo, hi) in [(0usize, 4usize), (4, 7), (7, 9)] {
             let mut shard = InvertedIndex::new();
-            for id in lo..hi {
-                shard.insert(id, sets[id].iter().cloned());
+            for (id, s) in sets.iter().enumerate().take(hi).skip(lo) {
+                shard.insert(id, s.iter().cloned());
             }
             merged.merge(shard);
         }

@@ -24,6 +24,16 @@
 //! * [`grid`] — PEXESO-style hierarchical grid over unit vectors for
 //!   pruned vector-similarity joins.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod bloom;
 pub mod embed;
 pub mod grid;

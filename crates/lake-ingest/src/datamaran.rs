@@ -290,7 +290,7 @@ impl Datamaran {
                     .find_map(|(i, t)| t.template.matches(line).map(|f| (i, f)));
                 match hit {
                     Some((template, fields)) => {
-                        records.push(LogRecord { template, fields, continuation: Vec::new() })
+                        records.push(LogRecord { template, fields, continuation: Vec::new() });
                     }
                     None => unmatched += 1,
                 }

@@ -158,7 +158,7 @@ pub fn infer_tree(docs: &[Json]) -> TreeNode {
                     queue.push_back((child, v));
                 }
                 // Children of this object get their parent count bumped.
-                for (k, _) in m {
+                for k in m.keys() {
                     let child = if path.is_empty() { k.clone() } else { format!("{path}.{k}") };
                     *parent_occurrences.entry(child).or_insert(0) += 1;
                 }

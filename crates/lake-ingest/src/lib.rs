@@ -25,6 +25,16 @@
 //! * [`model::graphmeta`] — graph-based metamodels: Diamantini-style
 //!   lexical node merging and Sawadogo-style versioning/usage tracking.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod datamaran;
 pub mod gemms;
 pub mod model;

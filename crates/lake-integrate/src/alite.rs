@@ -78,14 +78,11 @@ fn subsumes(a: &PartialTuple, b: &PartialTuple) -> bool {
 fn joinable(a: &PartialTuple, b: &PartialTuple) -> bool {
     let mut shared = false;
     for (x, y) in a.iter().zip(b) {
-        match (x, y) {
-            (Some(vx), Some(vy)) => {
-                if vx != vy {
-                    return false;
-                }
-                shared = true;
+        if let (Some(vx), Some(vy)) = (x, y) {
+            if vx != vy {
+                return false;
             }
-            _ => {}
+            shared = true;
         }
     }
     shared

@@ -13,6 +13,16 @@
 //! * [`alite`] — ALITE: embedding-based holistic column clustering over
 //!   discovered tables followed by Full Disjunction computation.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod alite;
 pub mod mapping;
 pub mod matching;

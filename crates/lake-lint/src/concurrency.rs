@@ -11,8 +11,7 @@
 //!    the static and runtime checkers share one source of truth).
 //!    Nested acquisitions must follow strictly increasing ranks; raw
 //!    `Mutex`/`RwLock` fields are implicit leaves (nothing may be
-//!    acquired while one is held). Inversions and cycles can deadlock,
-//!    so — like layering — they are **never baselinable**.
+//!    acquired while one is held). Inversions and cycles can deadlock.
 //! 7. **Guard across blocking** — no lock guard may stay live across an
 //!    `ObjectStore` call, `retry_with_stats`, a channel send/recv, or a
 //!    `lake_core::par` fan-out: backoff and I/O under a lock serialize
@@ -789,7 +788,7 @@ impl Analysis {
                         line: *line,
                         message: format!(
                             "lock-order cycle: `{}` is acquired while `{}` is held, closing \
-                             the cycle {{{}}}; cycles can deadlock and are never baselinable",
+                             the cycle {{{}}}; cycles can deadlock",
                             b.display(),
                             a.display(),
                             cycle_desc.join(" -> "),

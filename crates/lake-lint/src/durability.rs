@@ -102,12 +102,8 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
                     *d = d.saturating_sub(1);
                 }
             }
-            ';' => {
-                if fn_header == Some(0) {
-                    // Bodyless declaration (trait method, extern).
-                    fn_header = None;
-                }
-            }
+            // Bodyless declaration (trait method, extern).
+            ';' if fn_header == Some(0) => fn_header = None,
             _ => {}
         }
         if matches_at(&chars, i, "#[cfg(test)") {
@@ -116,7 +112,7 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
             continue;
         }
         let boundary =
-            i == 0 || chars.get(i - 1).map_or(true, |p| !p.is_alphanumeric() && *p != '_');
+            i == 0 || chars.get(i - 1).is_none_or(|p| !p.is_alphanumeric() && *p != '_');
         if boundary
             && matches_at(&chars, i, "fn")
             && chars.get(i + 2).is_some_and(|n| !n.is_alphanumeric() && *n != '_')

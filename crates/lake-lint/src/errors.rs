@@ -135,7 +135,7 @@ pub fn scan_atomicity(file: &str, src: &str) -> Vec<Finding> {
             continue;
         }
         let at_impl = matches_at(&chars, i, "impl")
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
+            && (i == 0 || chars.get(i - 1).is_none_or(|c| !c.is_alphanumeric() && *c != '_'))
             && chars.get(i + 4).is_some_and(|c| !c.is_alphanumeric() && *c != '_');
         if cfg_test_depth.is_none() && at_impl {
             // Header through to `{` (or `;` for e.g. `impl Trait` in a

@@ -57,7 +57,7 @@ pub fn scan_source(file: &str, src: &str) -> Vec<Finding> {
         }
         let at_call = cfg_test_depth.is_none()
             && matches_at(&chars, i, "partial_cmp")
-            && (i == 0 || chars.get(i - 1).map_or(true, |c| !c.is_alphanumeric() && *c != '_'))
+            && (i == 0 || chars.get(i - 1).is_none_or(|c| !c.is_alphanumeric() && *c != '_'))
             && chars
                 .get(i + "partial_cmp".len())
                 .is_some_and(|c| !c.is_alphanumeric() && *c != '_');

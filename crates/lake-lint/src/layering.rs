@@ -11,8 +11,7 @@
 //!
 //! A crate may depend only on crates of its own tier or below (same-tier
 //! edges are allowed — cargo already guarantees acyclicity); any edge that
-//! *inverts* a tier is a violation. Layering violations are never
-//! baselinable: they fail the check immediately.
+//! *inverts* a tier is a violation.
 //!
 //! One exception to the tier DAG: cross-cutting **leaf utility** crates
 //! ([`LEAF_UTILITIES`], e.g. `lake-obs`). These sit outside the Fig. 2

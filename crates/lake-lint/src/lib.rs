@@ -1,35 +1,28 @@
 //! `lake-lint`: repo-native static analysis for the rustlake workspace.
 //!
-//! Nine checks keep the survey's architecture and the lakehouse's
-//! reliability story honest as the codebase scales:
+//! Seven checks keep the survey's architecture and the lakehouse's
+//! reliability story honest as the codebase scales. They are numbered as
+//! they always were; rules 1 (panic-freedom and hot-path indexing) and 4
+//! (clock discipline) are clippy's now. Their levels sit in each library
+//! crate's `lib.rs` (`clippy::unwrap_used` … `clippy::disallowed_methods`,
+//! plus `clippy::indexing_slicing` on the hot paths) and their
+//! configuration in the root `clippy.toml`.
 //!
-//! 1. **Panic-freedom** ([`scanner`]): library code must not call
-//!    `.unwrap()`/`.expect()` or invoke `panic!`-family macros; slice
-//!    indexing is additionally banned on configured hot paths (the ACID
-//!    commit/time-travel files). Tests, benches, bins, and examples are
-//!    exempt.
 //! 2. **Tier layering** ([`layering`]): crate dependencies must respect
-//!    the paper's storage → functions → facade DAG; an inverted edge
-//!    fails immediately and cannot be baselined.
+//!    the paper's storage → functions → facade DAG.
 //! 3. **Error discipline** ([`errors`]): `pub fn`s must not return
 //!    `Result<_, String>` or `Box<dyn Error>` — error kinds drive retry
 //!    and conflict handling, so they must stay typed. The same pass
 //!    requires every `ObjectStore` impl that provides `put_if_absent` to
 //!    document its atomicity guarantee: the commit protocol's whole
 //!    correctness rests on that one primitive.
-//! 4. **Clock discipline** ([`clock`]): library code must not call
-//!    `Instant::now`/`SystemTime::now` directly — timed paths thread a
-//!    `lake_core::retry::Clock` so chaos suites and latency histograms
-//!    replay deterministically. Only `impl … Clock for …` blocks touch
-//!    the real clock.
 //! 5. **Float ordering** ([`float`]): `partial_cmp` results must not be
 //!    unwrapped (or `unwrap_or`-defaulted) — score comparators sort with
 //!    `f64::total_cmp`, which cannot panic on NaN and keeps sorts total.
 //! 6. **Lock ordering** ([`concurrency`]): nested `OrderedMutex`/
 //!    `OrderedRwLock` acquisitions must follow the declared global order
 //!    in `lake_core::sync::rank` with strictly increasing ranks; raw
-//!    locks are implicit leaves. Inversions and cycles can deadlock, so
-//!    — like layering — they are never baselinable.
+//!    locks are implicit leaves.
 //! 7. **Guard across blocking** ([`concurrency`]): no lock guard may be
 //!    held across `ObjectStore` calls, `retry_with_stats`, channel
 //!    send/recv, or `lake_core::par` fan-outs.
@@ -43,39 +36,38 @@
 //!    and only a power cut ever exposes the difference. Deliberately
 //!    volatile writes justify with `// lint: durability <why>`.
 //!
-//! Existing violations are grandfathered in `lake-lint.baseline.toml`
-//! ([`baseline`]); the baseline can only shrink. Run as:
+//! Any finding fails the check. Run as:
 //!
 //! ```text
 //! cargo run -p lake-lint -- check
-//! cargo run -p lake-lint -- fix-baseline
 //! ```
 
-pub mod baseline;
-pub mod clock;
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod concurrency;
 pub mod durability;
 pub mod errors;
 pub mod float;
 pub mod layering;
-pub mod scanner;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The lint rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// Panic-prone construct in library code.
-    Panic,
-    /// Slice indexing on a declared hot path.
-    Indexing,
     /// Stringly-typed public error return.
     ErrorDiscipline,
     /// Tier-inverting dependency edge.
     Layering,
-    /// Direct wall/monotonic time read outside a `Clock` implementation.
-    ClockDiscipline,
     /// `partial_cmp` result forced open instead of handled as an `Option`.
     FloatOrdering,
     /// Nested lock acquisition violating the declared global rank order.
@@ -89,36 +81,16 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Stable key used in the baseline file and CLI output.
+    /// Stable key used in CLI output.
     pub fn key(self) -> &'static str {
         match self {
-            Rule::Panic => "panic",
-            Rule::Indexing => "indexing",
             Rule::ErrorDiscipline => "error-discipline",
             Rule::Layering => "layering",
-            Rule::ClockDiscipline => "clock-discipline",
             Rule::FloatOrdering => "float-ordering",
             Rule::LockOrder => "lock-order",
             Rule::GuardBlocking => "guard-blocking",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::Durability => "durability",
-        }
-    }
-
-    /// Inverse of [`Rule::key`].
-    pub fn from_key(key: &str) -> Option<Rule> {
-        match key {
-            "panic" => Some(Rule::Panic),
-            "indexing" => Some(Rule::Indexing),
-            "error-discipline" => Some(Rule::ErrorDiscipline),
-            "layering" => Some(Rule::Layering),
-            "clock-discipline" => Some(Rule::ClockDiscipline),
-            "float-ordering" => Some(Rule::FloatOrdering),
-            "lock-order" => Some(Rule::LockOrder),
-            "guard-blocking" => Some(Rule::GuardBlocking),
-            "atomic-ordering" => Some(Rule::AtomicOrdering),
-            "durability" => Some(Rule::Durability),
-            _ => None,
         }
     }
 }
@@ -147,28 +119,6 @@ impl fmt::Display for Finding {
         write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)
     }
 }
-
-/// Path prefixes (repo-relative, `/`-separated) where the slice-indexing
-/// rule applies: the ACID commit / time-travel paths whose abort-freedom
-/// guarantees depend on no out-of-bounds panics, plus lake-obs — metric
-/// recording sits on every instrumented hot path and must never abort it —
-/// and lake-sched, whose event loop must drain every schedule it is handed.
-/// The columnar execution spine is covered file-by-file: the dictionary
-/// batch kernels, the parquet-lite codec, and incremental index
-/// maintenance all run inside every profiling/ingest hot loop, D³L's
-/// per-column state is rebuilt on that maintenance path, and the predicate
-/// evaluators are the inner loop of every store, mediator and lakehouse scan.
-pub const HOT_PATHS: &[&str] = &[
-    "crates/lake-core/src/batch.rs",
-    "crates/lake-discovery/src/d3l.rs",
-    "crates/lake-discovery/src/incremental.rs",
-    "crates/lake-formats/src/columnar.rs",
-    "crates/lake-house/src/",
-    "crates/lake-obs/src/",
-    "crates/lake-sched/src/",
-    "crates/lake-server/src/",
-    "crates/lake-store/src/predicate.rs",
-];
 
 /// Directory names whose contents are exempt from source lints.
 const EXEMPT_DIRS: &[&str] = &["tests", "benches", "bin", "examples", "fixtures", "target"];
@@ -220,11 +170,8 @@ fn walk_sources(
         } else if name.ends_with(".rs") {
             let rel = relative_to(&path, root);
             let src = std::fs::read_to_string(&path)?;
-            let hot = HOT_PATHS.iter().any(|h| rel.starts_with(h));
-            findings.extend(scanner::scan_source(&rel, &src, hot));
             findings.extend(errors::scan_source(&rel, &src));
             findings.extend(errors::scan_atomicity(&rel, &src));
-            findings.extend(clock::scan_source(&rel, &src));
             findings.extend(float::scan_source(&rel, &src));
             findings.extend(durability::scan_source(&rel, &src));
             conc.add_source(&rel, &src);
@@ -234,18 +181,13 @@ fn walk_sources(
 }
 
 /// Render `path` relative to `root` with forward slashes (stable across
-/// platforms for baseline entries).
+/// platforms in findings).
 fn relative_to(path: &Path, root: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.components()
         .map(|c| c.as_os_str().to_string_lossy())
         .collect::<Vec<_>>()
         .join("/")
-}
-
-/// Canonical baseline location within a workspace.
-pub fn baseline_path(root: &Path) -> PathBuf {
-    root.join("lake-lint.baseline.toml")
 }
 
 /// Locate the workspace root: walk up from `start` until a `Cargo.toml`
@@ -264,95 +206,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Full check result, ready for CLI rendering.
-#[derive(Debug)]
-pub struct Report {
-    /// All current findings (including grandfathered ones).
-    pub findings: Vec<Finding>,
-    /// Comparison against the checked-in baseline.
-    pub comparison: baseline::Comparison,
-}
-
-impl Report {
-    /// Does the check pass (no new violations)?
-    pub fn is_clean(&self) -> bool {
-        self.comparison.new_violations.is_empty()
-    }
-}
-
-/// Why a lint run itself (not the scanned code) failed.
-#[derive(Debug)]
-pub enum LintError {
-    /// The workspace scan could not read a source or manifest.
-    Io(std::io::Error),
-    /// `lake-lint.baseline.toml` is malformed.
-    Baseline(baseline::BaselineError),
-}
-
-impl fmt::Display for LintError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LintError::Io(e) => write!(f, "scan failed: {e}"),
-            LintError::Baseline(e) => write!(f, "lake-lint.baseline.toml: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LintError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LintError::Io(e) => Some(e),
-            LintError::Baseline(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for LintError {
-    fn from(e: std::io::Error) -> Self {
-        LintError::Io(e)
-    }
-}
-
-impl From<baseline::BaselineError> for LintError {
-    fn from(e: baseline::BaselineError) -> Self {
-        LintError::Baseline(e)
-    }
-}
-
-/// Run the full check against the baseline at the canonical path; a
-/// missing baseline file is treated as empty (everything counts as new).
-pub fn check(root: &Path) -> Result<Report, LintError> {
-    let findings = scan_workspace(root)?;
-    let base = match std::fs::read_to_string(baseline_path(root)) {
-        Ok(text) => baseline::Baseline::parse(&text)?,
-        Err(_) => baseline::Baseline::default(),
-    };
-    let comparison = baseline::compare(&findings, &base);
-    Ok(Report { findings, comparison })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rule_keys_roundtrip() {
-        for rule in [
-            Rule::Panic,
-            Rule::Indexing,
-            Rule::ErrorDiscipline,
-            Rule::Layering,
-            Rule::ClockDiscipline,
-            Rule::FloatOrdering,
-            Rule::LockOrder,
-            Rule::GuardBlocking,
-            Rule::AtomicOrdering,
-            Rule::Durability,
-        ] {
-            assert_eq!(Rule::from_key(rule.key()), Some(rule));
-        }
-        assert_eq!(Rule::from_key("nope"), None);
-    }
 
     #[test]
     fn relative_paths_use_forward_slashes() {

@@ -1,5 +1,5 @@
 //! Fixture: lock-order violations — a rank inversion that also closes a
-//! two-lock cycle. Never baselinable.
+//! two-lock cycle.
 
 mod rank {
     pub const ALPHA: u32 = 10;

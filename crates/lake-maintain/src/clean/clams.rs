@@ -75,8 +75,10 @@ pub fn analyze(table: &Table, min_rfd_confidence: f64) -> ClamsReport {
                 *counts.entry(v.data_type()).or_insert(0) += 1;
             }
         }
-        if counts.len() >= 2 {
-            let (&dominant, &n) = counts.iter().max_by_key(|&(_, &n)| n).expect("non-empty");
+        if counts.len() < 2 {
+            continue;
+        }
+        if let Some((&dominant, &n)) = counts.iter().max_by_key(|&(_, &n)| n) {
             let total: usize = counts.values().sum();
             if n * 10 >= total * 8 {
                 constraints.push(DenialConstraint::TypeUniformity { column: ci, dominant });
@@ -126,12 +128,11 @@ pub fn analyze(table: &Table, min_rfd_confidence: f64) -> ClamsReport {
 pub fn remove_confirmed(table: &Table, confirmed: &[CellTriple]) -> Table {
     let dirty_rows: Vec<usize> = confirmed.iter().map(|t| t.row).collect();
     let mut i = 0;
-    let filtered = table.filter(|_| {
+    table.filter(|_| {
         let keep = !dirty_rows.contains(&i);
         i += 1;
         keep
-    });
-    filtered
+    })
 }
 
 #[cfg(test)]

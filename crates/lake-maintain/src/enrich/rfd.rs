@@ -111,7 +111,7 @@ pub fn violations(table: &Table, rfd: &Rfd) -> Vec<usize> {
     (0..table.num_rows())
         .filter(|&i| {
             let l = &lcol[i];
-            !l.is_null() && majority.get(&canon(l)).map_or(false, |m| m != &canon(&rcol[i]))
+            !l.is_null() && majority.get(&canon(l)).is_some_and(|m| m != &canon(&rcol[i]))
         })
         .collect()
 }

@@ -16,6 +16,16 @@
 //!   provenance, and graph-based lineage queries (GOODS/CoreDB/Juneau all
 //!   "preserve the provenance information as graphs").
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod clean;
 pub mod enrich;
 pub mod evolve;

@@ -41,8 +41,7 @@ pub fn kmeans(points: &[Vec<f64>], k: usize, max_iter: usize, seed: u64) -> KMea
                 .iter()
                 .enumerate()
                 .min_by(|a, b| euclidean(p, a.1).total_cmp(&euclidean(p, b.1)))
-                .map(|(c, _)| c)
-                .unwrap();
+                .map_or(0, |(c, _)| c);
             if assignment[i] != best {
                 assignment[i] = best;
                 changed = true;
@@ -107,7 +106,7 @@ pub fn agglomerative_by<T>(
                     }
                 }
                 let avg = s / (clusters[a].len() * clusters[b].len()) as f64;
-                if best.map_or(true, |(_, _, bd)| avg < bd) {
+                if best.is_none_or(|(_, _, bd)| avg < bd) {
                     best = Some((a, b, avg));
                 }
             }

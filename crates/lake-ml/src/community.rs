@@ -71,11 +71,11 @@ pub fn label_propagation(graph: &UndirectedGraph, max_rounds: usize, seed: u64) 
                 *votes.entry(labels[nb]).or_insert(0.0) += w;
             }
             // Deterministic tie-break: highest weight, then smallest label.
-            let best = votes
-                .into_iter()
-                .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-                .map(|(l, _)| l)
-                .unwrap();
+            let Some((best, _)) =
+                votes.into_iter().max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+            else {
+                continue;
+            };
             if labels[node] != best {
                 labels[node] = best;
                 changed = true;

@@ -56,13 +56,11 @@ impl KnnClassifier {
     /// behaviour incremental categorizers like DS-kNN rely on when a new
     /// category still has few members). Returns `None` when empty.
     pub fn predict(&self, sample: &[f64], k: usize) -> Option<usize> {
-        let nn = self.neighbors(sample, k);
-        if nn.is_empty() {
-            return None;
-        }
-        let max_label = nn.iter().map(|&(_, _, l)| l).max().unwrap();
-        let mut votes = vec![0.0f64; max_label + 1];
-        for &(_, d, l) in &nn {
+        let mut votes: Vec<f64> = Vec::new();
+        for (_, d, l) in self.neighbors(sample, k) {
+            if votes.len() <= l {
+                votes.resize(l + 1, 0.0);
+            }
             votes[l] += 1.0 / (d + 1e-9);
         }
         votes
@@ -84,12 +82,11 @@ impl KnnClassifier {
     ) -> (usize, bool) {
         let nn = self.neighbors(&sample, k);
         let label = match nn.first() {
-            Some(&(_, d, _)) if d <= new_category_dist => {
-                self.predict(&sample, k).expect("non-empty")
-            }
-            _ => next_label,
-        };
-        let is_new = nn.first().map_or(true, |&(_, d, _)| d > new_category_dist);
+            Some(&(_, d, _)) if d <= new_category_dist => self.predict(&sample, k),
+            _ => None,
+        }
+        .unwrap_or(next_label);
+        let is_new = nn.first().is_none_or(|&(_, d, _)| d > new_category_dist);
         self.add(sample, label);
         (label, is_new)
     }

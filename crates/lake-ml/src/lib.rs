@@ -20,6 +20,16 @@
 //!
 //! Everything is deterministic given a seed.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod cluster;
 pub mod community;
 pub mod forest;

@@ -38,6 +38,17 @@
 //! assert!(text.contains("lake_store_get_total 1"));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
+
 pub mod events;
 pub mod export;
 pub mod metrics;

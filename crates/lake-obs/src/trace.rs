@@ -231,11 +231,10 @@ mod tests {
         assert_eq!(root.finish(), 42);
         let spans = tracer.finished_spans();
         assert_eq!(spans.len(), 2);
-        let flush = spans.iter().find(|s| s.name == "flush").map(|s| s.clone());
-        let ingest = spans.iter().find(|s| s.name == "ingest").map(|s| s.clone());
-        let (flush, ingest) = match (flush, ingest) {
-            (Some(f), Some(i)) => (f, i),
-            _ => unreachable!("both spans recorded"),
+        let flush = spans.iter().find(|s| s.name == "flush");
+        let ingest = spans.iter().find(|s| s.name == "ingest");
+        let (Some(flush), Some(ingest)) = (flush, ingest) else {
+            panic!("both spans recorded: {spans:?}");
         };
         assert_eq!(flush.parent, ingest.id);
         assert_eq!(flush.start_micros, 10);

@@ -30,7 +30,7 @@ pub type TaskFn = Arc<dyn Fn() + Send + Sync>;
 pub struct TaskId(pub usize);
 
 /// The task-dependency DAG.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct TaskGraph {
     names: Vec<String>,
     bodies: Vec<TaskFn>,
@@ -38,12 +38,6 @@ pub struct TaskGraph {
     deps: Vec<Vec<usize>>,
     /// `dependents[t]` = tasks waiting on `t`.
     dependents: Vec<Vec<usize>>,
-}
-
-impl Default for TaskGraph {
-    fn default() -> Self {
-        TaskGraph { names: Vec::new(), bodies: Vec::new(), deps: Vec::new(), dependents: Vec::new() }
-    }
 }
 
 impl std::fmt::Debug for TaskGraph {
@@ -140,7 +134,8 @@ impl TaskGraph {
         let (ready_tx, ready_rx) = channel::unbounded::<Option<usize>>();
         for t in 0..n {
             if self.deps[t].is_empty() {
-                ready_tx.send(Some(t)).expect("channel open");
+                // `ready_rx` lives in this frame, so the channel is open.
+                let _ = ready_tx.send(Some(t));
             }
         }
         let completed = Arc::new(OrderedMutex::new(

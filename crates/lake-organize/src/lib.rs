@@ -23,6 +23,16 @@
 //! Each DAG-flavoured module exposes a [`DagDescription`] so the Table 2
 //! comparison can be generated from the implementations themselves.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod dsknn;
 pub mod goods;
 pub mod kayak;

@@ -159,16 +159,17 @@ mod tests {
 
     #[test]
     fn preview_is_cheaper_than_full_profile() {
+        use lake_core::retry::{Clock, SystemClock};
         let t = big_table(200_000);
-        let t0 = std::time::Instant::now();
+        let t0 = SystemClock.now_micros();
         let _ = quick_profile(&t, 500, 1);
-        let quick_time = t0.elapsed();
-        let t1 = std::time::Instant::now();
+        let t1 = SystemClock.now_micros();
         let _ = full_profile(&t);
-        let full_time = t1.elapsed();
+        let t2 = SystemClock.now_micros();
+        let (quick_us, full_us) = (t1 - t0, t2 - t1);
         assert!(
-            quick_time * 10 < full_time,
-            "preview {quick_time:?} should be ≫ faster than {full_time:?}"
+            quick_us * 10 < full_us,
+            "preview {quick_us} µs should be ≫ faster than {full_us} µs"
         );
     }
 }

@@ -154,7 +154,7 @@ mod tests {
         let mut leaves = 0;
         while let Some(n) = stack.pop() {
             let Exploration::Browse { children, attributes } = r.browse(n) else {
-                unreachable!()
+                panic!("browse {n}");
             };
             leaves += attributes.len();
             stack.extend(children);

@@ -27,11 +27,33 @@ pub struct Hit {
 #[derive(Debug, Default)]
 pub struct FullTextIndex {
     docs: BTreeMap<DatasetId, Vec<String>>,
-    model: Option<TfIdfCorpus>,
-    /// Sorted-dedup token lists, rebuilt with the model in
-    /// [`FullTextIndex::refit`] so [`FullTextIndex::search`] does
-    /// membership tests by binary search with no per-query allocation.
+    /// `None` until fitted, and again after any insert.
+    fitted: Option<Fitted>,
+}
+
+/// TF-IDF weights over the indexed corpus, with each document's
+/// sorted-dedup token list so [`FullTextIndex::search`] does membership
+/// tests by binary search with no per-query allocation.
+#[derive(Debug)]
+struct Fitted {
+    model: TfIdfCorpus,
     sorted: BTreeMap<DatasetId, Vec<String>>,
+}
+
+impl Fitted {
+    fn new(docs: &BTreeMap<DatasetId, Vec<String>>) -> Fitted {
+        let refs: Vec<&[String]> = docs.values().map(Vec::as_slice).collect();
+        let sorted = docs
+            .iter()
+            .map(|(&id, toks)| {
+                let mut s = toks.clone();
+                s.sort_unstable();
+                s.dedup();
+                (id, s)
+            })
+            .collect();
+        Fitted { model: TfIdfCorpus::fit(refs), sorted }
+    }
 }
 
 /// Extract the searchable token bag of a dataset.
@@ -90,24 +112,13 @@ impl FullTextIndex {
     /// a batch of inserts to update IDF weights.
     pub fn index(&mut self, id: DatasetId, dataset: &Dataset) {
         self.docs.insert(id, dataset_tokens(dataset));
-        self.model = None;
+        self.fitted = None;
     }
 
     /// Fit TF-IDF weights over the indexed corpus (lazy; [`Self::search`]
     /// calls it automatically when stale).
     pub fn refit(&mut self) {
-        let refs: Vec<&[String]> = self.docs.values().map(Vec::as_slice).collect();
-        self.model = Some(TfIdfCorpus::fit(refs));
-        self.sorted = self
-            .docs
-            .iter()
-            .map(|(&id, toks)| {
-                let mut s = toks.clone();
-                s.sort_unstable();
-                s.dedup();
-                (id, s)
-            })
-            .collect();
+        self.fitted = Some(Fitted::new(&self.docs));
     }
 
     /// Number of indexed datasets.
@@ -123,13 +134,10 @@ impl FullTextIndex {
     /// Ranked search: datasets containing any query term, scored by
     /// summed TF-IDF of matched terms.
     pub fn search(&mut self, query: &str, k: usize) -> Vec<Hit> {
-        if self.model.is_none() {
-            self.refit();
-        }
-        let model = self.model.as_ref().expect("fitted above");
+        let Fitted { model, sorted } = self.fitted.get_or_insert_with(|| Fitted::new(&self.docs));
         let terms: Vec<String> = tokenize_identifier(query);
         let mut hits = Vec::new();
-        for (&id, toks) in &self.sorted {
+        for (&id, toks) in sorted.iter() {
             let mut score = 0.0;
             let mut matched = Vec::new();
             for term in &terms {

@@ -21,6 +21,16 @@
 //!   completeness reporting, and a seeded per-source fault injector that
 //!   makes every degradation path deterministically testable.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod ast;
 pub mod browse;
 pub mod degrade;

@@ -139,15 +139,12 @@ pub fn execute(
     let mut acc = ResultSet::default();
     let mut first_branch = true;
     for p in pipeline {
+        let mut branch = ResultSet::default();
         match p {
             Primitive::Intersect => {
                 first_branch = false;
                 continue;
             }
-            _ => {}
-        }
-        let mut branch = ResultSet::default();
-        match p {
             Primitive::SimilarContent(arg) => {
                 let at = resolve(corpus, arg)?;
                 for (c, s) in aurum.similar_content_to(corpus, at) {
@@ -174,7 +171,6 @@ pub fn execute(
                     }
                 }
             }
-            Primitive::Intersect => unreachable!("handled above"),
         }
         if first_branch {
             // Union criteria scores.

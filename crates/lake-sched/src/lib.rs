@@ -48,6 +48,17 @@
 //! print!("{}", table.render());
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
+
 pub mod cost;
 pub mod policy;
 pub mod report;

@@ -34,6 +34,17 @@
 //! conserved (offered = admitted + shed + drain-rejected), which is what
 //! the `quota_prop` property suite pins down.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods,
+    clippy::indexing_slicing
+)]
+
 pub mod admission;
 pub mod protocol;
 pub mod server;

@@ -658,7 +658,7 @@ mod tests {
             read_frame(&mut s, 16)
         });
         let mut c = TcpStream::connect(addr).unwrap();
-        write_frame(&mut c, &vec![0u8; 64]).unwrap();
+        write_frame(&mut c, &[0u8; 64]).unwrap();
         let r = srv.join().unwrap();
         assert!(matches!(r, Err(LakeError::Invalid(_))), "{r:?}");
     }

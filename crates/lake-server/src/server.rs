@@ -660,8 +660,7 @@ fn execute(shared: &Shared, req: &Request) -> Result<Json> {
         Verb::Drain => Ok(Json::obj(vec![("draining", Json::Bool(true))])),
         Verb::Flaky => Err(LakeError::transient("flaky verb: injected failure")),
         Verb::Boom => {
-            // Deliberate panic to exercise worker isolation; `panic_any`
-            // keeps the source free of the banned `panic!` macro.
+            #[expect(clippy::panic, reason = "the boom verb exercises worker isolation")]
             std::panic::panic_any("boom verb: injected handler panic");
         }
         Verb::Crash => {

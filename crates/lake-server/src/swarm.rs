@@ -151,7 +151,7 @@ struct ClientOutcome {
 fn client_requests(cfg: &SwarmConfig, index: usize) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ fnv1a(&(index as u64).to_le_bytes()));
     let tenant = format!("tenant{}", index % cfg.tenants.max(1));
-    let greedy = cfg.greedy_tenant_zero && index % cfg.tenants.max(1) == 0;
+    let greedy = cfg.greedy_tenant_zero && index.is_multiple_of(cfg.tenants.max(1));
     let mut put_keys: Vec<String> = Vec::new();
     (0..cfg.requests_per_client)
         .map(|seq| {
@@ -241,7 +241,7 @@ fn build_request(
         let name = format!("c{index}-k{slot}");
         let fill: u8 = rng.random_range(0..26u8);
         let ch = char::from(b'a' + fill);
-        let body: String = std::iter::repeat(ch).take(cfg.payload_len.max(1)).collect();
+        let body: String = std::iter::repeat_n(ch, cfg.payload_len.max(1)).collect();
         if !put_keys.contains(&name) {
             put_keys.push(name.clone());
         }

@@ -51,8 +51,8 @@ fn oracle(plan: &TenantPlan, offered: u64) -> QuotaUsage {
         granted = granted.min(max);
     }
     if let Some(max) = plan.quota.max_bytes {
-        if plan.bytes_per_request > 0 {
-            granted = granted.min(max / plan.bytes_per_request);
+        if let Some(n) = max.checked_div(plan.bytes_per_request) {
+            granted = granted.min(n);
         }
     }
     QuotaUsage {

@@ -252,7 +252,7 @@ fn kill_nine_mid_swarm_preserves_every_acked_write() {
                         );
                         match r {
                             Ok(resp) if resp.is_ok() => {
-                                acked_puts.lock().unwrap().push(name.clone())
+                                acked_puts.lock().unwrap().push(name.clone());
                             }
                             _ => return,
                         }
@@ -261,7 +261,7 @@ fn kill_nine_mid_swarm_preserves_every_acked_write() {
                             let d = Request::new("chaos", Verb::Del).with_name(&name);
                             match protocol::request(&addr, &d, 5_000, DEFAULT_MAX_FRAME_BYTES) {
                                 Ok(resp) if resp.is_ok() => {
-                                    acked_dels.lock().unwrap().push(name)
+                                    acked_dels.lock().unwrap().push(name);
                                 }
                                 _ => return,
                             }

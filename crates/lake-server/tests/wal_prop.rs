@@ -277,11 +277,11 @@ proptest! {
         for (rec, op) in records.iter().zip(ops.iter()) {
             prop_assert_eq!(&rec.name, &op.1);
         }
-        // The journal on disk was truncated back to the intact prefix;
-        // when the cut left partial bytes (not a clean frame boundary),
-        // they were quarantined.
+        // The journal on disk was truncated back to the intact prefix,
+        // byte for byte; when the cut left partial bytes (not a clean
+        // frame boundary), they were quarantined.
         let truncated = std::fs::read(&journal).unwrap();
-        prop_assert_eq!(truncated.len(), last_start);
+        prop_assert_eq!(&truncated[..], &bytes[..last_start]);
         if cut > last_start {
             let quarantine = std::path::Path::new(&dir).join("_wal").join("quarantine");
             prop_assert!(std::fs::read_dir(quarantine).unwrap().count() >= 1);

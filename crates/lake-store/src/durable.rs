@@ -69,8 +69,7 @@ pub struct FrameScan {
 pub fn scan_frames(bytes: &[u8]) -> FrameScan {
     let mut frames = Vec::new();
     let mut offset = 0usize;
-    loop {
-        let Some(header) = bytes.get(offset..offset + 4) else { break };
+    while let Some(header) = bytes.get(offset..offset + 4) {
         let mut len_buf = [0u8; 4];
         len_buf.copy_from_slice(header);
         let len = u32::from_be_bytes(len_buf) as usize;

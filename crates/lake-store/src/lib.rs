@@ -27,6 +27,16 @@
 //! * [`obs`] — an observing [`ObjectStore`] decorator recording per-op
 //!   counts, bytes, and latency histograms into a `lake-obs` registry.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod document;
 pub mod durable;
 pub mod fault;

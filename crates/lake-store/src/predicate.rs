@@ -12,6 +12,8 @@
 //! lakehouse all call these, so a filter gives the same answer wherever
 //! it runs (DESIGN.md §11a).
 
+#![deny(clippy::indexing_slicing)]
+
 use lake_core::{Column, Json, Result, Table, Value};
 use lake_formats::columnar::{ColumnStats, ColumnarFile, StoredColumn};
 

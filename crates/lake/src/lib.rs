@@ -19,6 +19,16 @@
 //! assert_eq!(meta.format, "csv");
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::disallowed_methods
+)]
+
 pub mod governance;
 pub mod registry;
 pub mod users;
@@ -259,7 +269,7 @@ impl DataLake {
     pub fn corpus(&self) -> (TableCorpus, Vec<DatasetId>) {
         let mut tables = Vec::new();
         let mut ids = Vec::new();
-        for (&id, _) in &self.metas {
+        for &id in self.metas.keys() {
             if let Ok(Dataset::Table(t)) = self.store.retrieve(id) {
                 tables.push(t);
                 ids.push(id);

@@ -72,7 +72,9 @@ impl Function {
 
     /// The tier a function belongs to.
     pub fn tier(self) -> Tier {
-        use Function::*;
+        use Function::{
+            HeterogeneousDataQuerying, MetadataExtraction, MetadataModeling, QueryDrivenDataDiscovery,
+        };
         match self {
             MetadataExtraction | MetadataModeling => Tier::Ingestion,
             QueryDrivenDataDiscovery | HeterogeneousDataQuerying => Tier::Exploration,
@@ -82,19 +84,18 @@ impl Function {
 
     /// Display name, as in Table 1.
     pub fn name(self) -> &'static str {
-        use Function::*;
         match self {
-            MetadataExtraction => "Metadata extraction",
-            MetadataModeling => "Metadata modeling",
-            DatasetOrganization => "Dataset organization",
-            RelatedDatasetDiscovery => "Related dataset discovery",
-            DataIntegration => "Data integration",
-            MetadataEnrichment => "Metadata enrichment",
-            DataCleaning => "Data cleaning",
-            SchemaEvolution => "Schema evolution",
-            DataProvenance => "Data provenance",
-            QueryDrivenDataDiscovery => "Query-driven data discovery",
-            HeterogeneousDataQuerying => "Heterogeneous data querying",
+            Self::MetadataExtraction => "Metadata extraction",
+            Self::MetadataModeling => "Metadata modeling",
+            Self::DatasetOrganization => "Dataset organization",
+            Self::RelatedDatasetDiscovery => "Related dataset discovery",
+            Self::DataIntegration => "Data integration",
+            Self::MetadataEnrichment => "Metadata enrichment",
+            Self::DataCleaning => "Data cleaning",
+            Self::SchemaEvolution => "Schema evolution",
+            Self::DataProvenance => "Data provenance",
+            Self::QueryDrivenDataDiscovery => "Query-driven data discovery",
+            Self::HeterogeneousDataQuerying => "Heterogeneous data querying",
         }
     }
 }

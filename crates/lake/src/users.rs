@@ -43,7 +43,7 @@ pub enum Operation {
 impl Role {
     /// The default permission matrix.
     pub fn allows(self, op: Operation) -> bool {
-        use Operation::*;
+        use Operation::{Annotate, Promote, Query, ReadData, ReadMetadata};
         match self {
             Role::Scientist => matches!(op, ReadData | ReadMetadata | Query),
             Role::Curator => matches!(op, ReadData | ReadMetadata | Annotate | Query | Promote),

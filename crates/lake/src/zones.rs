@@ -28,8 +28,13 @@ impl Zone {
 
     /// The next zone in the lifecycle, if any.
     pub fn next(self) -> Option<Zone> {
-        let i = Zone::ALL.iter().position(|z| *z == self).expect("member");
-        Zone::ALL.get(i + 1).copied()
+        match self {
+            Zone::Landing => Some(Zone::Raw),
+            Zone::Raw => Some(Zone::Trusted),
+            Zone::Trusted => Some(Zone::Refined),
+            Zone::Refined => Some(Zone::Exploration),
+            Zone::Exploration => None,
+        }
     }
 
     /// Display name.

@@ -8,9 +8,10 @@
 #   → bench/ locked build (a refactor that breaks a public item it
 #     imports, or a dependency-list change that stales bench/Cargo.lock,
 #     fails here instead of in the benchmark run)
-#   → clippy on every target (no `-D warnings`: it gates clippy's
-#     deny-by-default lints, and its warnings are printed, not fatal)
-#   → lint (the repo-native static-analysis gate)
+#   → clippy on every target with `-D warnings` (it also enforces
+#     panic-freedom, hot-path indexing and clock discipline: each library
+#     crate's lib.rs sets those levels, `clippy.toml` configures them)
+#   → lint (the repo-native rules clippy cannot express)
 #   → server.sh (the one process-level gate: signals, kill -9, real
 #     fsyncs, the CLI's flags)
 #   → e15 (parallel results bit-identical to sequential on the bench lake)
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo build --release --offline --locked --manifest-path bench/Cargo.toml
-cargo clippy --workspace --all-targets
+cargo clippy --workspace --all-targets -- -D warnings
 cargo run -p lake-lint -- check
 ./scripts/server.sh
 cargo run --release -p lake-bench --bin e15_parallel

@@ -56,7 +56,7 @@ proptest! {
         // Antisymmetry.
         prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         // Transitivity (spot check through sort stability).
-        let mut v = vec![a.clone(), b.clone(), c.clone()];
+        let mut v = [a.clone(), b.clone(), c.clone()];
         v.sort();
         prop_assert!(v.windows(2).all(|w| w[0].cmp(&w[1]) != Ordering::Greater));
         // Hash consistency with equality.

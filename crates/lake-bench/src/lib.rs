@@ -4,7 +4,8 @@
 //! survey, plus the qualitative-claim experiments indexed in DESIGN.md
 //! (§3, "per-experiment index").
 //!
-//! Binaries (each prints one table/figure analog):
+//! Binaries (each prints one table/figure analog; gates are `cargo test`
+//! suites and wall-clock numbers come from `bench/`):
 //!
 //! | bin | artifact |
 //! |---|---|
@@ -12,7 +13,8 @@
 //! | `table2` | Table 2 — DAG-based organization comparison |
 //! | `table3` | Table 3 — related-dataset-discovery comparison (+measured) |
 //! | `fig2_pipeline` | Fig. 2 — per-tier end-to-end trace |
-//! | `e1_lsh_scaling` … `e12_alite` | experiments E1–E12 |
+//! | `e1_lsh_scaling` … `e14_degradation` | experiments E1–E14 |
+//! | `a1_storage_ablation` | A1 — storage-design ablation |
 
 #![deny(
     clippy::unwrap_used,
@@ -23,8 +25,6 @@
     clippy::unimplemented,
     clippy::disallowed_methods
 )]
-
-pub mod trajectory;
 
 use lake_core::synth::{generate_lake, GroundTruth, LakeGenConfig};
 use lake_core::Table;

@@ -110,11 +110,6 @@ impl PropertyGraph {
         id
     }
 
-    /// Set an edge property.
-    pub fn set_edge_prop(&mut self, id: EdgeId, key: impl Into<String>, value: Value) {
-        self.edges[id.0].props.insert(key.into(), value);
-    }
-
     /// Node count.
     pub fn node_count(&self) -> usize {
         self.nodes.len()

@@ -36,7 +36,7 @@ pub mod synth;
 pub mod table;
 pub mod value;
 
-pub use batch::{ColumnBatch, DictColumn, DictEntry, NULL_CODE};
+pub use batch::NULL_CODE;
 pub use crash::{CrashPoint, CrashSwitch};
 pub use dataset::{Dataset, DatasetKind, DatasetMeta};
 pub use error::{LakeError, Result};

@@ -37,9 +37,9 @@
 //!
 //! [`Parallelism::auto`] resolves to `std::thread::available_parallelism`
 //! at call time, overridable per call site with [`Parallelism::fixed`]
-//! (the injectable override determinism tests and the `e15_parallel`
-//! sequential baseline use) or process-wide with the `RUSTLAKE_WORKERS`
-//! environment variable.
+//! (the injectable override the determinism tests use, e.g.
+//! `lake-discovery`'s `par_prop.rs`) or process-wide with the
+//! `RUSTLAKE_WORKERS` environment variable.
 
 use crossbeam::channel;
 

@@ -59,10 +59,6 @@ pub mod vocab {
         "apple", "samsung", "nokia", "blackberry", "kiwi", "sony", "dell", "lenovo",
         "asus", "acer", "philips", "siemens", "bosch", "canon",
     ];
-    /// Departments (used by provenance/organization scenarios).
-    pub const DEPARTMENTS: &[&str] = &[
-        "sales", "marketing", "finance", "hr", "research", "logistics", "support", "legal",
-    ];
     /// Synonym groups for attribute names: columns drawn from one group are
     /// *semantically* the same attribute under different spellings — the
     /// signal name-based matchers and RNLIM must recover.

@@ -11,8 +11,12 @@
 //! name 3-grams, format patterns, sorted numeric sample and embedding
 //! (`d3l.rs`), RNLIM its encodings and sorted numeric sample. Keeping
 //! those out of [`ColumnProfile`] keeps profiling — which every system
-//! pays, and whose columnar-vs-row speedup `e19_discovery` gates — free of
-//! work only pair scoring uses.
+//! pays — free of work only pair scoring uses.
+//!
+//! One kernel profiles every column: [`column_stats`] renders and
+//! type-unifies each distinct value once. The tests below hold its
+//! profiles to a row-path oracle built from `Column`'s per-statistic
+//! methods.
 
 use lake_core::batch::column_stats;
 use lake_core::par::{self, Parallelism};
@@ -84,67 +88,28 @@ pub const SIGNATURE_LEN: usize = 128;
 /// Shared MinHash seed so signatures are comparable across systems.
 pub const SIGNATURE_SEED: u64 = 0xDA7A_1A6E;
 
-/// Which kernel computes column profiles.
-///
-/// Both paths produce byte-identical [`ColumnProfile`]s — the
-/// `e19_discovery` bench gates this on the million-row lake across
-/// worker counts. `Columnar` is the default; `RowNaive` is retained as
-/// the equality oracle (and for measuring the speedup).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfilePath {
-    /// Dictionary-encode each column once, then derive every statistic
-    /// from the dictionary: render/hash/unify each distinct value once.
-    #[default]
-    Columnar,
-    /// Walk row-order `Value`s per statistic, re-rendering duplicates —
-    /// the original implementation.
-    RowNaive,
-}
-
-/// Profile one column on the chosen path. Pure: depends only on the
-/// column bytes, so parallel fan-out and incremental re-profiling agree.
-fn profile_column(path: ProfilePath, col: &Column, at: ColumnRef, hasher: &MinHasher) -> ColumnProfile {
-    match path {
-        ProfilePath::Columnar => {
-            // One strict sort, every distinct value rendered once; the
-            // rendered strings move into the domain set, never cloned.
-            let stats = column_stats(&col.values);
-            // MinHash minima are idempotent, so hashing the strict-
-            // distinct texts (which may repeat a rendering across
-            // representations, e.g. Int(3)/Float(3.0) → "3") equals
-            // hashing the deduped domain.
-            let signature = hasher.signature(stats.texts.iter().map(String::as_str));
-            ColumnProfile {
-                at,
-                name: col.name.clone(),
-                name_tokens: tokenize_identifier(&col.name),
-                dtype: stats.dtype,
-                // Row-order numeric view; `as_f64` is a cheap per-row
-                // conversion, bit-exact on either path.
-                numeric: col.numeric_values(),
-                nulls: stats.null_count,
-                rows: stats.rows,
-                unique: stats.unique,
-                domain: stats.texts.into_iter().collect(),
-                signature,
-            }
-        }
-        ProfilePath::RowNaive => {
-            let domain = col.text_domain();
-            let signature = hasher.signature(domain.iter().map(String::as_str));
-            ColumnProfile {
-                at,
-                name: col.name.clone(),
-                name_tokens: tokenize_identifier(&col.name),
-                dtype: col.inferred_type(),
-                numeric: col.numeric_values(),
-                nulls: col.null_count(),
-                rows: col.len(),
-                unique: col.is_unique(),
-                domain,
-                signature,
-            }
-        }
+/// Profile one column. Pure: depends only on the column bytes, so
+/// parallel fan-out and incremental re-profiling agree.
+fn profile_column(col: &Column, at: ColumnRef, hasher: &MinHasher) -> ColumnProfile {
+    // One strict sort, every distinct value rendered once; the rendered
+    // strings move into the domain set, never cloned.
+    let stats = column_stats(&col.values);
+    // MinHash minima are idempotent, so hashing the strict-distinct texts
+    // (which may repeat a rendering across representations, e.g.
+    // Int(3)/Float(3.0) → "3") equals hashing the deduped domain.
+    let signature = hasher.signature(stats.texts.iter().map(String::as_str));
+    ColumnProfile {
+        at,
+        name: col.name.clone(),
+        name_tokens: tokenize_identifier(&col.name),
+        dtype: stats.dtype,
+        // Row-order numeric view; `as_f64` is a cheap per-row conversion.
+        numeric: col.numeric_values(),
+        nulls: stats.null_count,
+        rows: stats.rows,
+        unique: stats.unique,
+        domain: stats.texts.into_iter().collect(),
+        signature,
     }
 }
 
@@ -165,18 +130,10 @@ impl TableCorpus {
     }
 
     /// Profile a set of tables, fanning per-column profiling out over
-    /// `par` workers on the default (columnar) kernel. Each column's
-    /// profile is a pure function of its table, so the result — including
-    /// profile order, which stays `(table, column)` — is identical to
-    /// sequential profiling.
+    /// `par` workers. Each column's profile is a pure function of its
+    /// table, so the result — including profile order, which stays
+    /// `(table, column)` — is identical to sequential profiling.
     pub fn with_parallelism(tables: Vec<Table>, par: Parallelism) -> TableCorpus {
-        TableCorpus::with_profile_path(tables, par, ProfilePath::default())
-    }
-
-    /// Profile on an explicit kernel path — the equality-gate entry
-    /// point ([`ProfilePath::RowNaive`] is the oracle the columnar path
-    /// is measured and verified against).
-    pub fn with_profile_path(tables: Vec<Table>, par: Parallelism, path: ProfilePath) -> TableCorpus {
         let hasher = MinHasher::new(SIGNATURE_LEN, SIGNATURE_SEED);
         let refs: Vec<ColumnRef> = tables
             .iter()
@@ -187,13 +144,13 @@ impl TableCorpus {
             .collect();
         let profiles: Vec<ColumnProfile> = par::map(par, &refs, |&at| {
             let col = &tables[at.table].columns()[at.column];
-            profile_column(path, col, at, &hasher)
+            profile_column(col, at, &hasher)
         });
         let by_ref = profiles.iter().enumerate().map(|(i, p)| (p.at, i)).collect();
         TableCorpus { tables, profiles, by_ref, hasher }
     }
 
-    /// Append a table, profiling its columns on the columnar kernel.
+    /// Append a table, profiling its columns.
     /// Returns the indices of the new profiles (a contiguous tail
     /// block): the corpus is exactly what a from-scratch profile of the
     /// extended table list would produce.
@@ -202,7 +159,7 @@ impl TableCorpus {
         let mut added = Vec::with_capacity(table.num_columns());
         for (ci, col) in table.columns().iter().enumerate() {
             let at = ColumnRef { table: ti, column: ci };
-            let profile = profile_column(ProfilePath::Columnar, col, at, &self.hasher);
+            let profile = profile_column(col, at, &self.hasher);
             self.by_ref.insert(at, self.profiles.len());
             added.push(self.profiles.len());
             self.profiles.push(profile);
@@ -236,7 +193,7 @@ impl TableCorpus {
                 .get(&at)
                 .copied()
                 .ok_or_else(|| LakeError::invalid(format!("unprofiled column {at:?}")))?;
-            let profile = profile_column(ProfilePath::Columnar, col, at, &self.hasher);
+            let profile = profile_column(col, at, &self.hasher);
             if let Some(slot) = self.profiles.get_mut(pi) {
                 *slot = profile;
             }
@@ -359,7 +316,48 @@ impl TableCorpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lake_core::synth::{generate_lake, LakeGenConfig};
     use lake_core::Value;
+    use proptest::prelude::*;
+
+    /// The row-path oracle: one `Column` method per statistic, each
+    /// walking the row-order values and re-rendering duplicates.
+    fn row_profile(col: &Column, at: ColumnRef, hasher: &MinHasher) -> ColumnProfile {
+        let domain = col.text_domain();
+        let signature = hasher.signature(domain.iter().map(String::as_str));
+        ColumnProfile {
+            at,
+            name: col.name.clone(),
+            name_tokens: tokenize_identifier(&col.name),
+            dtype: col.inferred_type(),
+            numeric: col.numeric_values(),
+            nulls: col.null_count(),
+            rows: col.len(),
+            unique: col.is_unique(),
+            domain,
+            signature,
+        }
+    }
+
+    /// A profile with its numeric sample split out as raw bits, so
+    /// `assert_eq!` is exact even on NaN (`NaN != NaN` under `PartialEq`).
+    fn bitwise(p: &ColumnProfile) -> (ColumnProfile, Vec<u64>) {
+        let mut p = p.clone();
+        let bits = std::mem::take(&mut p.numeric).iter().map(|f| f.to_bits()).collect();
+        (p, bits)
+    }
+
+    /// The oracle's profile of every column, in `(table, column)` order.
+    fn row_profiles(tables: &[Table]) -> Vec<ColumnProfile> {
+        let hasher = MinHasher::new(SIGNATURE_LEN, SIGNATURE_SEED);
+        let mut profiles = Vec::new();
+        for (ti, t) in tables.iter().enumerate() {
+            for (ci, col) in t.columns().iter().enumerate() {
+                profiles.push(row_profile(col, ColumnRef { table: ti, column: ci }, &hasher));
+            }
+        }
+        profiles
+    }
 
     fn corpus() -> TableCorpus {
         let t1 = Table::from_rows(
@@ -456,26 +454,11 @@ mod tests {
             Table::from_rows("nulls", &["a"], vec![vec![Value::Null], vec![Value::Null]]).unwrap(),
             Table::from_rows("zero", &["z"], vec![]).unwrap(),
         ];
-        let col = TableCorpus::with_profile_path(
-            tables.clone(),
-            Parallelism::sequential(),
-            ProfilePath::Columnar,
-        );
-        let row = TableCorpus::with_profile_path(
-            tables,
-            Parallelism::sequential(),
-            ProfilePath::RowNaive,
-        );
-        assert_eq!(col.profiles().len(), row.profiles().len());
-        for (c, r) in col.profiles().iter().zip(row.profiles()) {
-            // Compare numeric samples bitwise (NaN != NaN under PartialEq).
-            let cb: Vec<u64> = c.numeric.iter().map(|f| f.to_bits()).collect();
-            let rb: Vec<u64> = r.numeric.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(cb, rb, "{}: numeric bits", c.name);
-            assert_eq!(c.domain, r.domain, "{}: domain", c.name);
-            assert_eq!(c.signature, r.signature, "{}: signature", c.name);
-            assert_eq!(c.dtype, r.dtype, "{}: dtype", c.name);
-            assert_eq!((c.nulls, c.rows, c.unique), (r.nulls, r.rows, r.unique), "{}", c.name);
+        let row = row_profiles(&tables);
+        let col = TableCorpus::with_parallelism(tables, Parallelism::sequential());
+        assert_eq!(col.profiles().len(), row.len());
+        for (c, r) in col.profiles().iter().zip(&row) {
+            assert_eq!(bitwise(c), bitwise(r), "{}", c.name);
         }
     }
 
@@ -526,5 +509,36 @@ mod tests {
         let seq = TableCorpus::with_parallelism(tables(), Parallelism::sequential());
         let par4 = TableCorpus::with_parallelism(tables(), Parallelism::fixed(4));
         assert_eq!(seq.profiles(), par4.profiles());
+    }
+
+    proptest! {
+        // The large-lake form of the equality contract: any generated
+        // lake shape, profiled sequentially or fanned out, matches the
+        // row oracle on every field of every profile.
+        #[test]
+        fn columnar_profiles_equal_the_row_oracle(
+            seed in any::<u64>(),
+            groups in 1usize..4,
+            zipf_alpha in 0.0f64..1.5,
+            max_rows in 1usize..200,
+        ) {
+            let cfg = LakeGenConfig {
+                seed,
+                groups,
+                rows: (max_rows / 2, max_rows),
+                zipf_alpha,
+                ..LakeGenConfig::default()
+            };
+            let tables = generate_lake(&cfg).tables;
+            let row = row_profiles(&tables);
+            for workers in [1, 4] {
+                let par = Parallelism::fixed(workers);
+                let corpus = TableCorpus::with_parallelism(tables.clone(), par);
+                prop_assert_eq!(corpus.profiles().len(), row.len());
+                for (c, r) in corpus.profiles().iter().zip(&row) {
+                    prop_assert_eq!((workers, bitwise(c)), (workers, bitwise(r)));
+                }
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! index — corpus profiles, LSH buckets, inverted postings, D³L
 //! embeddings and top-k answers — **byte-identical** to a from-scratch
 //! build over the final table set, for any stream content and any worker
-//! count.
+//! count — and each flush re-profiles exactly its own table's columns.
 //!
 //! A fixed matrix of seeds (7 / 42 / 1337) × worker counts (1 / 2 / 4)
 //! runs as a deterministic regression grid; a proptest sweeps random
@@ -104,7 +104,14 @@ fn flushes_match_scratch(seed: u64, workers: usize, rounds: usize) {
     for round in 0..rounds {
         for (name, ing, null_qty) in streams.iter_mut() {
             push_batch(ing, &mut rng, 10 + round * 5, *null_qty);
-            inc.absorb_flush(ing, name).unwrap();
+            let (ti, changed) = inc.absorb_flush(ing, name).unwrap();
+            // Maintenance is a count, not a race against a rebuild: a
+            // flush re-profiles and re-indexes exactly its own table's
+            // columns, never the rest of the lake.
+            assert_eq!(inc.corpus().table_index(name), Some(ti), "{name}: table index");
+            let own: Vec<usize> = inc.corpus().table_columns(ti).map(|(pi, _)| pi).collect();
+            assert_eq!(changed, own, "{name}: flush touched other profiles");
+            assert_eq!(changed.len(), cols.len(), "{name}: one profile per stream column");
         }
     }
     assert_eq!(inc.flushes_absorbed, rounds * streams.len());

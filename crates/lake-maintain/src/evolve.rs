@@ -87,13 +87,6 @@ impl EvolutionHistory {
         };
         diff_versions(&a.properties, &b.properties)
     }
-
-    /// The whole history as per-transition operation lists.
-    pub fn full_history(&self) -> Vec<Vec<SchemaOp>> {
-        (0..self.versions.len().saturating_sub(1))
-            .map(|i| self.operations(i))
-            .collect()
-    }
 }
 
 /// Diff two property maps into schema operations, pairing same-typed

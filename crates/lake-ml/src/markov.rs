@@ -23,12 +23,6 @@ impl MarkovNavigator {
         MarkovNavigator { children: vec![Vec::new(); n] }
     }
 
-    /// Add a state, returning its id.
-    pub fn add_state(&mut self) -> usize {
-        self.children.push(Vec::new());
-        self.children.len() - 1
-    }
-
     /// Add a transition with raw affinity `w > 0` (normalized per state
     /// when probabilities are computed).
     pub fn add_transition(&mut self, from: usize, to: usize, affinity: f64) {

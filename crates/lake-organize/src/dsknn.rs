@@ -156,11 +156,6 @@ impl DsKnn {
         }
         out
     }
-
-    /// Stored feature vector of dataset `i` (insertion order).
-    pub fn features_of(&self, i: usize) -> &[f64] {
-        &self.features[i]
-    }
 }
 
 /// The supervised DS-Prox variant ("a later work uses supervised ensemble

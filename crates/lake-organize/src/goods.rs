@@ -122,13 +122,6 @@ impl GoodsCatalog {
         e.set(Category::Temporal, "annotated_at", Value::Int(self.clock as i64));
     }
 
-    /// Assign team/project context.
-    pub fn assign_team(&mut self, path: &str, team: &str, project: &str) {
-        let e = self.entries.entry(path.to_string()).or_default();
-        e.set(Category::TeamProject, "team", Value::str(team));
-        e.set(Category::TeamProject, "project", Value::str(project));
-    }
-
     /// Record a provenance event as a triple, e.g.
     /// `(job:etl1, wrote, logs/day1)`.
     pub fn record_provenance(&mut self, subject: &str, predicate: &str, object: &str) {

@@ -6,7 +6,7 @@
 //! full decision trail is kept — governance decisions are themselves
 //! provenance.
 
-use crate::users::{AccessControl, Operation, Role};
+use crate::users::{AccessControl, Operation};
 use lake_core::{LakeError, Result};
 
 /// What is being requested.
@@ -123,14 +123,10 @@ impl Governance {
     }
 }
 
-/// Convenience: the roles allowed to review requests.
-pub fn reviewer_roles() -> [Role; 2] {
-    [Role::Curator, Role::Operations]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::users::Role;
 
     fn setup() -> (Governance, AccessControl) {
         let mut ac = AccessControl::new();

@@ -343,11 +343,6 @@ impl DataLake {
         self.promote(user, id)
     }
 
-    /// Record an externally produced provenance event.
-    pub fn record_event(&mut self, event: ProvEvent) {
-        self.events.push(event);
-    }
-
     /// The lake's provenance graph.
     pub fn provenance(&self) -> ProvenanceGraph {
         ProvenanceGraph::from_events(&self.events)

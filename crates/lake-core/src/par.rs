@@ -87,11 +87,6 @@ impl Parallelism {
         }
         std::thread::available_parallelism().map(usize::from).unwrap_or(1)
     }
-
-    /// `true` when the policy resolves to a single worker.
-    pub fn is_sequential(self) -> bool {
-        self.workers() <= 1
-    }
 }
 
 /// Parallel map over an index range, output in index order.
@@ -268,7 +263,7 @@ mod tests {
     fn workers_resolve_to_at_least_one() {
         assert_eq!(Parallelism::fixed(0).workers(), 1);
         assert!(Parallelism::auto().workers() >= 1);
-        assert!(Parallelism::sequential().is_sequential());
+        assert_eq!(Parallelism::sequential().workers(), 1);
         assert_eq!(Parallelism::default(), Parallelism::auto());
     }
 

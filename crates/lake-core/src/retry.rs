@@ -29,15 +29,6 @@ pub trait Clock: Send + Sync {
     /// real clock, zero for test clocks). Monotonic per clock instance;
     /// only differences are meaningful.
     fn now_micros(&self) -> u64;
-
-    /// `true` for clocks whose time is scripted rather than real (e.g.
-    /// [`ManualClock`]). Parallel harnesses consult this to fall back to
-    /// sequential execution: virtual time advanced concurrently from
-    /// several workers would interleave nondeterministically, defeating
-    /// the very replayability the clock injection exists for.
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// The production clock: really sleeps, reads a real monotonic clock.
@@ -115,10 +106,6 @@ impl Clock for ManualClock {
             // lint: ordering — monotonic virtual-time counter, no ordering dependency.
             self.advanced_micros.load(std::sync::atomic::Ordering::Relaxed),
         )
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 
@@ -396,9 +383,6 @@ mod tests {
         let a = sys.now_micros();
         let b = sys.now_micros();
         assert!(b >= a);
-        // Virtual-clock flag: scripted clocks force sequential fan-out.
-        assert!(clock.is_virtual());
-        assert!(!sys.is_virtual());
     }
 
     #[test]

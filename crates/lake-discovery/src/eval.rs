@@ -1,11 +1,11 @@
 //! The discovery evaluation harness: precision@k / recall@k against a
-//! synthetic lake's planted ground truth, plus wall-clock index/query
-//! timings. Regenerates the measured columns added to Table 3.
+//! synthetic lake's planted ground truth — the measured columns of
+//! Table 3 — and the ground-truth pair labels the trainable systems learn
+//! from. Scores only: wall-clock numbers come from `bench/`.
 
 use crate::corpus::TableCorpus;
 use crate::DiscoverySystem;
 use lake_core::par::{self, Parallelism};
-use lake_core::retry::{Clock, SystemClock};
 use lake_core::synth::GroundTruth;
 
 /// Evaluation results of one system on one corpus.
@@ -18,37 +18,20 @@ pub struct EvalReport {
     pub precision_at_k: f64,
     /// Mean recall@k.
     pub recall_at_k: f64,
-    /// Index build time in milliseconds.
-    pub build_ms: f64,
-    /// Mean per-query time in microseconds.
-    pub query_us: f64,
     /// Number of queries executed.
     pub queries: usize,
 }
 
 /// Run a system over every table of the corpus as a query, comparing its
-/// top-k answers to the ground truth's `related_tables`. Timings come
-/// from the real clock; use [`evaluate_with_clock`] to inject one.
+/// top-k answers to the ground truth's `related_tables`. Queries fan out
+/// over the default (auto) worker count.
 pub fn evaluate(
     system: &mut dyn DiscoverySystem,
     corpus: &TableCorpus,
     truth: &GroundTruth,
     k: usize,
 ) -> EvalReport {
-    evaluate_with_clock(system, corpus, truth, k, &SystemClock)
-}
-
-/// [`evaluate`] with an injectable time source, so the timed columns are
-/// testable under a `ManualClock` and never read the wall clock directly.
-/// Queries fan out over the default (auto) worker count.
-pub fn evaluate_with_clock(
-    system: &mut dyn DiscoverySystem,
-    corpus: &TableCorpus,
-    truth: &GroundTruth,
-    k: usize,
-    clock: &dyn Clock,
-) -> EvalReport {
-    evaluate_with_options(system, corpus, truth, k, clock, Parallelism::auto())
+    evaluate_with_options(system, corpus, truth, k, Parallelism::auto())
 }
 
 /// Tables related to query `q` under the ground truth — the answer set.
@@ -77,76 +60,60 @@ fn score_top(
     (hits as f64 / denom_p as f64, hits as f64 / relevant.len().min(k) as f64)
 }
 
-/// [`evaluate_with_clock`] with an explicit worker count for the query
-/// fan-out. Per-query scores are folded back *in query order*, so
-/// precision/recall are bit-identical for every worker count.
-///
-/// A virtual clock ([`Clock::is_virtual`], e.g. `ManualClock`) forces the
-/// sequential path: injected-time tests depend on an exact interleaving
-/// of clock reads and queries, which a parallel fan-out (timed once
-/// around the whole batch) would not reproduce.
+/// [`evaluate`] with an explicit worker count for the query fan-out.
+/// Per-query scores are folded back *in query order*, so precision/recall
+/// are bit-identical for every worker count.
 pub fn evaluate_with_options(
     system: &mut dyn DiscoverySystem,
     corpus: &TableCorpus,
     truth: &GroundTruth,
     k: usize,
-    clock: &dyn Clock,
     par: Parallelism,
 ) -> EvalReport {
-    let par = if clock.is_virtual() { Parallelism::sequential() } else { par };
-    let t0 = clock.now_micros();
     system.build(corpus);
-    let build_ms = clock.now_micros().saturating_sub(t0) as f64 / 1e3;
-
-    let mut precision_sum = 0.0;
-    let mut recall_sum = 0.0;
-    let mut queries = 0usize;
-    let mut query_time = 0.0f64;
-
-    if par.is_sequential() {
-        for q in 0..corpus.len() {
-            let relevant = relevant_names(corpus, truth, q);
-            if relevant.is_empty() {
-                continue; // noise table: no defined answer set
-            }
-            let tq = clock.now_micros();
-            let top = system.top_k_related(corpus, q, k);
-            query_time += clock.now_micros().saturating_sub(tq) as f64;
-            queries += 1;
-            let (p, r) = score_top(corpus, &relevant, &top, k);
-            precision_sum += p;
-            recall_sum += r;
+    let sys: &dyn DiscoverySystem = system;
+    let scores = par::map_range(par, 0..corpus.len(), |q| {
+        let relevant = relevant_names(corpus, truth, q);
+        if relevant.is_empty() {
+            return None; // noise table: no defined answer set
         }
-    } else {
-        // The clock stays on this thread (it is not required to be
-        // `Sync`): the whole fan-out is timed once and averaged.
-        let sys: &dyn DiscoverySystem = system;
-        let tq = clock.now_micros();
-        let scores: Vec<Option<(f64, f64)>> = par::map_range(par, 0..corpus.len(), |q| {
-            let relevant = relevant_names(corpus, truth, q);
-            if relevant.is_empty() {
-                return None;
-            }
-            let top = sys.top_k_related(corpus, q, k);
-            Some(score_top(corpus, &relevant, &top, k))
-        });
-        let total = clock.now_micros().saturating_sub(tq) as f64;
-        for (p, r) in scores.into_iter().flatten() {
-            precision_sum += p;
-            recall_sum += r;
-            queries += 1;
-        }
-        query_time = total;
+        let top = sys.top_k_related(corpus, q, k);
+        Some(score_top(corpus, &relevant, &top, k))
+    });
+    let (mut precision_sum, mut recall_sum, mut queries) = (0.0, 0.0, 0usize);
+    for (p, r) in scores.into_iter().flatten() {
+        precision_sum += p;
+        recall_sum += r;
+        queries += 1;
     }
-
     EvalReport {
         system: system.info().name,
         precision_at_k: if queries == 0 { 0.0 } else { precision_sum / queries as f64 },
         recall_at_k: if queries == 0 { 0.0 } else { recall_sum / queries as f64 },
-        build_ms,
-        query_us: if queries == 0 { 0.0 } else { query_time / queries as f64 },
         queries,
     }
+}
+
+/// Ground-truth training labels for D³L and RNLIM: every pair of profiled
+/// columns `(a, b)` with `a < b < a + window` from two different tables,
+/// labelled `true` when the ground truth relates the tables.
+pub fn labelled_pairs(
+    corpus: &TableCorpus,
+    truth: &GroundTruth,
+    window: usize,
+) -> Vec<(usize, usize, bool)> {
+    let table = |p: usize| corpus.tables()[corpus.profiles()[p].at.table].name.as_str();
+    let n = corpus.profiles().len();
+    let mut out = Vec::new();
+    for a in 0..n {
+        for b in (a + 1)..n.min(a + window) {
+            let (ta, tb) = (table(a), table(b));
+            if ta != tb {
+                out.push((a, b, truth.tables_related(ta, tb)));
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -210,40 +177,11 @@ mod tests {
         let lake = lake_core::synth::generate_lake(&lake_core::synth::LakeGenConfig::default());
         let corpus = TableCorpus::new(lake.tables.clone());
         let mut a = Oracle { truth: lake.truth.clone() };
-        let seq = evaluate_with_options(
-            &mut a,
-            &corpus,
-            &lake.truth,
-            2,
-            &SystemClock,
-            Parallelism::sequential(),
-        );
+        let seq = evaluate_with_options(&mut a, &corpus, &lake.truth, 2, Parallelism::sequential());
         let mut b = Oracle { truth: lake.truth.clone() };
-        let par4 = evaluate_with_options(
-            &mut b,
-            &corpus,
-            &lake.truth,
-            2,
-            &SystemClock,
-            Parallelism::fixed(4),
-        );
+        let par4 = evaluate_with_options(&mut b, &corpus, &lake.truth, 2, Parallelism::fixed(4));
         assert_eq!(seq.precision_at_k.to_bits(), par4.precision_at_k.to_bits());
         assert_eq!(seq.recall_at_k.to_bits(), par4.recall_at_k.to_bits());
         assert_eq!(seq.queries, par4.queries);
-    }
-
-    #[test]
-    fn injected_clock_makes_timings_deterministic() {
-        // Under a ManualClock that nothing advances, every timed column
-        // must read exactly zero — proof the harness has no hidden
-        // wall-clock reads left.
-        let lake = lake_core::synth::generate_lake(&lake_core::synth::LakeGenConfig::default());
-        let corpus = TableCorpus::new(lake.tables.clone());
-        let clock = lake_core::retry::ManualClock::new();
-        let mut oracle = Oracle { truth: lake.truth.clone() };
-        let r = evaluate_with_clock(&mut oracle, &corpus, &lake.truth, 2, &clock);
-        assert_eq!(r.build_ms, 0.0);
-        assert_eq!(r.query_us, 0.0);
-        assert!((r.precision_at_k - 1.0).abs() < 1e-9, "scoring is unaffected");
     }
 }

@@ -78,14 +78,12 @@ proptest! {
         let cfg = config(seed, 2, 2, 0.8);
         let lake = generate_lake(&cfg);
         let corpus = TableCorpus::new(lake.tables);
-        let clock = lake_core::retry::SystemClock;
         let sequential = Parallelism::sequential();
         let mut a = system(which, sequential);
-        let seq =
-            evaluate_with_options(a.as_mut(), &corpus, &lake.truth, 2, &clock, sequential);
+        let seq = evaluate_with_options(a.as_mut(), &corpus, &lake.truth, 2, sequential);
         let fanned = Parallelism::fixed(workers);
         let mut b = system(which, fanned);
-        let par = evaluate_with_options(b.as_mut(), &corpus, &lake.truth, 2, &clock, fanned);
+        let par = evaluate_with_options(b.as_mut(), &corpus, &lake.truth, 2, fanned);
         prop_assert_eq!(seq.precision_at_k.to_bits(), par.precision_at_k.to_bits());
         prop_assert_eq!(seq.recall_at_k.to_bits(), par.recall_at_k.to_bits());
         prop_assert_eq!(seq.queries, par.queries);

@@ -2,7 +2,7 @@
 //! workspace, classified by tier → function → module (the survey's
 //! three-level categorization with the *method* level pointing at code).
 //!
-//! The `table1` benchmark binary prints this classification; the tests
+//! `lake-bench`'s `paper t1` prints this classification; the tests
 //! assert full coverage of the survey's 11 functions across 3 tiers.
 
 /// The three functional tiers of Fig. 2.
@@ -173,28 +173,6 @@ pub const REGISTRY: &[SystemEntry] = &[
     SystemEntry { system: "Squerall", function: Function::HeterogeneousDataQuerying, module: "lake_query::federated" },
 ];
 
-/// Render the classification as a Table 1-style text table.
-pub fn render_table1() -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<12} | {:<28} | {:<20} | module\n",
-        "Tier", "Function", "System"
-    ));
-    out.push_str(&format!("{}\n", "-".repeat(100)));
-    for f in Function::ALL {
-        for e in REGISTRY.iter().filter(|e| e.function == f) {
-            out.push_str(&format!(
-                "{:<12} | {:<28} | {:<20} | {}\n",
-                f.tier().name(),
-                f.name(),
-                e.system,
-                e.module
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,14 +210,5 @@ mod tests {
         for s in ["Aurum", "JOSIE", "D3L", "Juneau", "PEXESO", "RNLIM", "DLN"] {
             assert!(systems.contains(&s), "{s}");
         }
-    }
-
-    #[test]
-    fn rendered_table_mentions_all_tiers() {
-        let t = render_table1();
-        for tier in ["Ingestion", "Maintenance", "Exploration"] {
-            assert!(t.contains(tier));
-        }
-        assert!(t.lines().count() > REGISTRY.len());
     }
 }

@@ -1,6 +1,6 @@
 //! Related-dataset discovery shoot-out: run all eight systems of the
 //! survey's Table 3 on one synthetic lake with planted ground truth and
-//! compare their precision/recall/latency — the scenario of the survey's
+//! compare their precision and recall — the scenario of the survey's
 //! intro, where information silos must be linked up before any insight.
 //!
 //! Run with: `cargo run --release --example data_discovery`
@@ -39,17 +39,11 @@ fn main() {
         },
     ];
 
-    println!(
-        "{:<20} {:>7} {:>7} {:>10} {:>10}",
-        "system", "P@2", "R@2", "build ms", "query µs"
-    );
-    println!("{}", "-".repeat(60));
+    println!("{:<20} {:>7} {:>7}", "system", "P@2", "R@2");
+    println!("{}", "-".repeat(36));
     for sys in &mut systems {
         let report = evaluate(sys.as_mut(), &corpus, &lake.truth, k);
-        println!(
-            "{:<20} {:>7.2} {:>7.2} {:>10.1} {:>10.0}",
-            report.system, report.precision_at_k, report.recall_at_k, report.build_ms, report.query_us
-        );
+        println!("{:<20} {:>7.2} {:>7.2}", report.system, report.precision_at_k, report.recall_at_k);
     }
 
     println!("\nTable 3 descriptive columns (from the implementations):");

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification chain for the rustlake workspace. Each role has one
 # home: a gate is a `cargo test` suite and runs once, below; a number is
-# something `bench/` timed on a real clock; a `lake-bench` bin only prints
-# one of the paper's tables or figures, so none runs here.
+# something `bench/` timed on a real clock. The paper's claims are
+# `lake-bench` tests (`crates/lake-bench/tests/paper.rs`) and run with the
+# rest; the `paper` bin only prints the artifacts, so it does not run here.
 #
 #   build → test (every unit, property, chaos and calibration suite)
 #   → bench/ locked build (a refactor that breaks a public item it

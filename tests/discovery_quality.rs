@@ -7,6 +7,7 @@
 use lake_core::synth::{generate_lake, LakeGenConfig};
 use lake_discovery::corpus::TableCorpus;
 use lake_discovery::dln::synthesize_query_log;
+use lake_discovery::eval::labelled_pairs;
 use lake_discovery::{evaluate, DiscoverySystem, SystemInfo};
 
 struct RandomBaseline;
@@ -88,17 +89,7 @@ fn trained_d3l_does_not_regress_against_untrained() {
     let mut trained = lake_discovery::d3l::D3l::default();
     trained.build(&corpus);
     // Label pairs from ground truth (as D³L's training step prescribes).
-    let mut labelled = Vec::new();
-    for a in 0..corpus.profiles().len() {
-        for b in (a + 1)..corpus.profiles().len().min(a + 15) {
-            let ta = &corpus.tables()[corpus.profiles()[a].at.table].name;
-            let tb = &corpus.tables()[corpus.profiles()[b].at.table].name;
-            if ta != tb {
-                labelled.push((a, b, truth.tables_related(ta, tb)));
-            }
-        }
-    }
-    trained.train_weights(&corpus, &labelled);
+    trained.train_weights(&corpus, &labelled_pairs(&corpus, &truth, 15));
     let r = evaluate(&mut trained, &corpus, &truth, 2);
     assert!(
         r.precision_at_k >= untrained.precision_at_k - 0.05,

@@ -175,26 +175,6 @@ where
     map_range(par, 0..items.len(), |i| f(i, &items[i]))
 }
 
-/// Contiguous `(start, end)` ranges covering `0..n`, at most `pieces`
-/// of them, each non-empty — the shard decomposition order-independent
-/// index builders (e.g. JOSIE posting construction) merge back in order.
-pub fn shards(n: usize, pieces: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let pieces = pieces.clamp(1, n);
-    let base = n / pieces;
-    let extra = n % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut lo = 0;
-    for i in 0..pieces {
-        let len = base + usize::from(i < extra);
-        out.push((lo, lo + len));
-        lo += len;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,26 +245,6 @@ mod tests {
         assert!(Parallelism::auto().workers() >= 1);
         assert_eq!(Parallelism::sequential().workers(), 1);
         assert_eq!(Parallelism::default(), Parallelism::auto());
-    }
-
-    #[test]
-    fn shards_cover_the_range_contiguously() {
-        for n in [0usize, 1, 5, 16, 97] {
-            for pieces in [1usize, 2, 4, 7, 200] {
-                let sh = shards(n, pieces);
-                if n == 0 {
-                    assert!(sh.is_empty());
-                    continue;
-                }
-                assert!(sh.len() <= pieces.max(1));
-                assert_eq!(sh.first().map(|s| s.0), Some(0));
-                assert_eq!(sh.last().map(|s| s.1), Some(n));
-                for w in sh.windows(2) {
-                    assert_eq!(w[0].1, w[1].0, "contiguous");
-                    assert!(w[0].0 < w[0].1, "non-empty");
-                }
-            }
-        }
     }
 
     #[test]

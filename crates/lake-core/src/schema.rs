@@ -6,6 +6,7 @@
 //! evolution tracking, §6.6 of the survey).
 
 use crate::value::{fnv1a, DataType};
+use std::collections::HashSet;
 use std::fmt;
 
 /// One named, typed field of a schema.
@@ -90,16 +91,12 @@ impl Schema {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
 
-    /// Rename duplicate field names by suffixing `_2`, `_3`, ….
+    /// Rename duplicate field names as [`dedup_names`] does.
     pub fn dedup_names(&mut self) {
-        use std::collections::HashMap;
-        let mut seen: HashMap<String, usize> = HashMap::new();
-        for f in &mut self.fields {
-            let n = seen.entry(f.name.clone()).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                f.name = format!("{}_{}", f.name, n);
-            }
+        let mut names: Vec<String> = self.fields.iter().map(|f| f.name.clone()).collect();
+        dedup_names(&mut names);
+        for (f, name) in self.fields.iter_mut().zip(names) {
+            f.name = name;
         }
     }
 
@@ -142,6 +139,31 @@ impl Schema {
             h = h.rotate_left(17);
         }
         h
+    }
+}
+
+/// Make `names` distinct in place. A name an earlier entry already has
+/// gets the smallest suffix `_n` (n ≥ 2) that no entry and no earlier
+/// rename uses: `a, a, a` becomes `a, a_2, a_3`, and `a, a, a_2` becomes
+/// `a, a_3, a_2`.
+pub fn dedup_names(names: &mut [String]) {
+    let mut taken: HashSet<String> = names.iter().cloned().collect();
+    let mut kept: HashSet<String> = HashSet::with_capacity(names.len());
+    for name in names.iter_mut() {
+        if kept.insert(name.clone()) {
+            continue;
+        }
+        let mut n = 2;
+        let renamed = loop {
+            let candidate = format!("{name}_{n}");
+            if !taken.contains(&candidate) {
+                break candidate;
+            }
+            n += 1;
+        };
+        // No entry has the new name, so no later one can repeat it.
+        taken.insert(renamed.clone());
+        *name = renamed;
     }
 }
 
@@ -208,6 +230,16 @@ mod tests {
         let mut sc = s(&[("a", Int), ("a", Str), ("a", Bool)]);
         sc.dedup_names();
         assert_eq!(sc.names(), vec!["a", "a_2", "a_3"]);
+    }
+
+    #[test]
+    fn dedup_names_skips_suffixes_a_header_already_uses() {
+        let mut sc = s(&[("a", Int), ("a", Str), ("a_2", Bool)]);
+        sc.dedup_names();
+        assert_eq!(sc.names(), vec!["a", "a_3", "a_2"]);
+        let mut names: Vec<String> = ["x_2", "x", "x", "x_3", "x"].map(String::from).to_vec();
+        dedup_names(&mut names);
+        assert_eq!(names, ["x_2", "x", "x_4", "x_3", "x_5"]);
     }
 
     #[test]

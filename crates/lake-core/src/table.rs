@@ -112,8 +112,8 @@ impl Table {
         Ok(Table { name: name.into(), columns, rows })
     }
 
-    /// Build from header + rows (as produced by the CSV parser). Short rows
-    /// are padded with nulls; long rows are an error.
+    /// Build from header + rows. Short rows are padded with nulls; long
+    /// rows are an error.
     pub fn from_rows(
         name: impl Into<String>,
         header: &[&str],

@@ -58,7 +58,7 @@ impl IncrementalDiscovery {
     pub fn with_parallelism(tables: Vec<Table>, par: Parallelism) -> IncrementalDiscovery {
         let corpus = TableCorpus::with_parallelism(tables, par);
         let lsh = signature_lsh(corpus.profiles(), par);
-        let mut josie = Josie { par, ..Josie::default() };
+        let mut josie = Josie::default();
         josie.build(&corpus);
         let mut d3l = D3l::with_parallelism(par);
         d3l.build(&corpus);

@@ -32,7 +32,7 @@
 
 use crate::corpus::TableCorpus;
 use crate::{DiscoverySystem, SystemInfo};
-use lake_core::par::{self, Parallelism};
+use lake_core::par::Parallelism;
 use lake_index::inverted::InvertedIndex;
 use std::collections::HashMap;
 
@@ -51,7 +51,8 @@ pub struct JosieStats {
 #[derive(Debug, Default)]
 pub struct Josie {
     pub(crate) index: InvertedIndex,
-    /// Worker count for posting construction in [`DiscoverySystem::build`].
+    /// Read by nothing: [`DiscoverySystem::build`] is one sequential
+    /// pass. Kept because `bench/`'s `discover` workload assigns it.
     pub par: Parallelism,
 }
 
@@ -295,25 +296,8 @@ impl DiscoverySystem for Josie {
     }
 
     fn build(&mut self, corpus: &TableCorpus) {
-        // Shard posting construction over contiguous ascending profile-id
-        // ranges; merging shards back in shard order reproduces the index a
-        // sequential insert loop would build (see `InvertedIndex::merge`).
-        let profiles = corpus.profiles();
-        let pieces = self.par.workers() * 4;
-        let shards = par::shards(profiles.len(), pieces);
-        let built: Vec<InvertedIndex> = par::map(self.par, &shards, |&(lo, hi)| {
-            let mut shard = InvertedIndex::new();
-            for (pi, p) in (lo..hi).zip(&profiles[lo..hi]) {
-                // Profile domains are BTreeSets: already sorted and
-                // distinct, so the re-sort/dedup of `insert` is skipped.
-                shard.insert_sorted(pi, &p.domain);
-            }
-            shard
-        });
-        self.index = InvertedIndex::new();
-        for shard in built {
-            self.index.merge(shard);
-        }
+        // Profile domains are BTreeSets: already sorted and distinct.
+        self.index = InvertedIndex::from_sorted_sets(corpus.profiles().iter().map(|p| &p.domain));
     }
 
     fn top_k_related(&self, corpus: &TableCorpus, query: usize, k: usize) -> Vec<(usize, f64)> {
@@ -642,7 +626,7 @@ mod tests {
         assert_eq!(seq.index.num_sets(), par4.index.num_sets());
         assert_eq!(seq.index.num_tokens(), par4.index.num_tokens());
         for pi in 0..corpus.profiles().len() {
-            // Shards re-intern in ascending set order: same token ids too.
+            // The build reads no worker count: same token ids too.
             assert_eq!(seq.index.set_token_ids(pi), par4.index.set_token_ids(pi));
             assert_eq!(seq.index.set_tokens(pi), par4.index.set_tokens(pi));
             for tok in seq.index.set_tokens(pi) {

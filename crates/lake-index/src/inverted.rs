@@ -45,6 +45,52 @@ impl InvertedIndex {
         InvertedIndex::default()
     }
 
+    /// The index an [`InvertedIndex::insert_sorted`] loop over `sets`
+    /// builds, numbering the sets `0, 1, …` in order, each an **already
+    /// sorted, already distinct** token list — token ids included.
+    ///
+    /// It takes two passes. The first interns every set's tokens in set
+    /// order, so ids stay first-seen, and counts each token's sets. The
+    /// second allocates every posting list at its exact length, in
+    /// token-id order, and fills it in set order: no list grows or is
+    /// searched. Tokens out of order or repeated are dropped, as
+    /// `insert_sorted` drops them.
+    pub fn from_sorted_sets<S, T>(sets: impl IntoIterator<Item = S>) -> InvertedIndex
+    where
+        S: IntoIterator<Item = T>,
+        T: AsRef<str>,
+    {
+        let mut ix = InvertedIndex::new();
+        let mut lens: Vec<usize> = Vec::new();
+        for tokens in sets {
+            let tokens = tokens.into_iter();
+            let mut set: Vec<u32> = Vec::with_capacity(tokens.size_hint().0);
+            for tok in tokens {
+                let tok = tok.as_ref();
+                if set.last().is_some_and(|&prev| ix.token(prev) >= tok) {
+                    continue;
+                }
+                let tid = ix.intern(tok);
+                match lens.get_mut(tid as usize) {
+                    Some(len) => *len += 1,
+                    None => lens.push(1),
+                }
+                set.push(tid);
+            }
+            ix.sets.push(Some(set));
+        }
+        for (list, &len) in ix.postings.iter_mut().zip(&lens) {
+            *list = Vec::with_capacity(len);
+        }
+        for (id, set) in ix.sets.iter().enumerate() {
+            for &tid in set.iter().flatten() {
+                ix.postings[tid as usize].push(id);
+            }
+        }
+        ix.live_tokens = ix.tokens.len();
+        ix
+    }
+
     /// Index `tokens` as set `id` (duplicates are collapsed; replaces any
     /// previous set with the same id).
     pub fn insert(&mut self, id: usize, tokens: impl IntoIterator<Item = String>) {
@@ -95,31 +141,6 @@ impl InvertedIndex {
         self.put_set(id, distinct);
     }
 
-    /// Fold another index into this one (set ids must be disjoint; a
-    /// colliding id keeps `other`'s tokens, mirroring [`InvertedIndex::insert`]
-    /// replacement semantics).
-    ///
-    /// This is the reassembly half of parallel posting construction:
-    /// shards built over *contiguous, ascending* id ranges merge in shard
-    /// order, each posting-list append lands at (or binary-searches to)
-    /// the tail, and `other`'s sets are re-interned in ascending id
-    /// order, so the merged index — token ids included — is identical to
-    /// one built by a single sequential insert loop.
-    pub fn merge(&mut self, other: InvertedIndex) {
-        let mut remap: Vec<Option<u32>> = vec![None; other.tokens.len()];
-        for (id, set) in other.sets.into_iter().enumerate() {
-            let Some(mut set) = set else { continue };
-            self.remove(id);
-            for tid in &mut set {
-                let mine = *remap[*tid as usize]
-                    .get_or_insert_with(|| self.intern(Arc::clone(&other.tokens[*tid as usize])));
-                self.post(mine, id);
-                *tid = mine;
-            }
-            self.put_set(id, set);
-        }
-    }
-
     /// Remove a set.
     pub fn remove(&mut self, id: usize) {
         for tid in self.take_set(id).unwrap_or_default() {
@@ -128,8 +149,8 @@ impl InvertedIndex {
     }
 
     /// The id of `tok`, adding it to the dictionary if it is new.
-    fn intern<S: AsRef<str> + Into<Arc<str>>>(&mut self, tok: S) -> u32 {
-        if let Some(&tid) = self.ids.get(tok.as_ref()) {
+    fn intern(&mut self, tok: &str) -> u32 {
+        if let Some(&tid) = self.ids.get(tok) {
             return tid;
         }
         // 2^32 distinct strings would not fit in memory, so no id wraps.
@@ -298,6 +319,8 @@ pub(crate) fn merge_overlap<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn toks(s: &[&str]) -> Vec<String> {
         s.iter().map(|t| t.to_string()).collect()
@@ -425,44 +448,93 @@ mod tests {
         assert_eq!(ix.overlap_with(&q, 99), 0);
     }
 
-    #[test]
-    fn merge_of_contiguous_shards_matches_sequential_build() {
-        let sets: Vec<Vec<String>> = (0..9)
-            .map(|i| toks(&["a", "b"]).into_iter().chain([format!("t{}", i % 4)]).collect())
-            .collect();
-        let mut seq = InvertedIndex::new();
-        for (id, s) in sets.iter().enumerate() {
-            seq.insert(id, s.iter().cloned());
+    /// `a` and `b` agree on everything observable and on their token
+    /// numbering: every set's ids, every token's id and postings, and the
+    /// counts and bounds.
+    fn same_index(a: &InvertedIndex, b: &InvertedIndex) -> Result<(), String> {
+        let counts = |ix: &InvertedIndex| {
+            (ix.num_sets(), ix.set_id_bound(), ix.num_tokens(), ix.token_id_bound())
+        };
+        if counts(a) != counts(b) {
+            return Err(format!("counts {:?} vs {:?}", counts(a), counts(b)));
         }
-        let mut merged = InvertedIndex::new();
-        for (lo, hi) in [(0usize, 4usize), (4, 7), (7, 9)] {
-            let mut shard = InvertedIndex::new();
-            for (id, s) in sets.iter().enumerate().take(hi).skip(lo) {
-                shard.insert(id, s.iter().cloned());
+        for id in 0..a.set_id_bound() {
+            if a.set_token_ids(id) != b.set_token_ids(id) {
+                return Err(format!("set {id}: {:?} vs {:?}", a.set_tokens(id), b.set_tokens(id)));
             }
-            merged.merge(shard);
         }
-        assert_eq!(merged.num_sets(), seq.num_sets());
-        assert_eq!(merged.num_tokens(), seq.num_tokens());
-        for tok in ["a", "b", "t0", "t1", "t2", "t3"] {
-            assert_eq!(merged.posting(tok), seq.posting(tok), "token {tok}");
+        for (tid, tok) in a.tokens.iter().enumerate() {
+            if b.token_id(tok) != Some(tid as u32) || a.posting(tok) != b.posting(tok) {
+                return Err(format!("token {tok}: {:?} vs {:?}", a.posting(tok), b.posting(tok)));
+            }
         }
-        for id in 0..9 {
-            assert_eq!(merged.set_tokens(id), seq.set_tokens(id));
-            assert_eq!(merged.set_size(id), seq.set_size(id));
+        Ok(())
+    }
+
+    fn insert_loop(sets: &[Vec<String>]) -> InvertedIndex {
+        let mut ix = InvertedIndex::new();
+        for (id, set) in sets.iter().enumerate() {
+            ix.insert_sorted(id, set);
         }
+        ix
     }
 
     #[test]
-    fn merge_replaces_colliding_ids() {
-        let mut a = InvertedIndex::new();
-        a.insert(1, toks(&["x", "y"]));
-        let mut b = InvertedIndex::new();
-        b.insert(1, toks(&["z"]));
-        a.merge(b);
-        assert_eq!(a.posting("x"), &[] as &[usize]);
-        assert_eq!(a.posting("z"), &[1]);
-        assert_eq!(a.set_size(1), 1);
+    fn bulk_build_matches_an_insert_sorted_loop() {
+        let sets = vec![
+            toks(&["m", "z"]),
+            toks(&[]),
+            toks(&["a", "m", "q"]),
+            // Out of order and repeated tokens are dropped by both.
+            toks(&["b", "a", "b", "c", "z"]),
+            toks(&["a", "z"]),
+        ];
+        let bulk = InvertedIndex::from_sorted_sets(&sets);
+        same_index(&bulk, &insert_loop(&sets)).unwrap();
+        assert_eq!((bulk.num_sets(), bulk.num_tokens()), (5, 6));
+        // Ids are first-seen: "m" then "z", "a", "q", "b", "c".
+        assert_eq!(bulk.set_token_ids(2), &[2, 0, 3]);
+        assert_eq!(bulk.posting("z"), &[0, 3, 4]);
+        // Every posting list was allocated at its exact length.
+        for list in &bulk.postings {
+            assert_eq!(list.capacity(), list.len());
+        }
+        assert_eq!(InvertedIndex::from_sorted_sets(Vec::<Vec<String>>::new()).num_sets(), 0);
+    }
+
+    proptest! {
+        // A bulk build equals the insert loop, and stays equal under the
+        // same later inserts and removals.
+        #[test]
+        fn bulk_build_stays_equal_to_an_insert_loop_under_updates(
+            sets in proptest::collection::vec(proptest::collection::btree_set(0usize..16, 0..8), 0..12),
+            ops in proptest::collection::vec(
+                (0usize..14, proptest::collection::btree_set(0usize..20, 0..6), 0usize..4),
+                0..24,
+            ),
+        ) {
+            // String order differs from numeric order ("t10" < "t2").
+            let named = |set: BTreeSet<usize>| -> Vec<String> {
+                set.into_iter().map(|t| format!("t{t}")).collect::<BTreeSet<_>>().into_iter().collect()
+            };
+            let sets: Vec<Vec<String>> = sets.into_iter().map(named).collect();
+            let mut bulk = InvertedIndex::from_sorted_sets(&sets);
+            let mut looped = insert_loop(&sets);
+            let outcome = same_index(&bulk, &looped);
+            prop_assert!(outcome.is_ok(), "after build: {outcome:?}");
+            for (id, set, kind) in ops {
+                if kind == 0 {
+                    bulk.remove(id);
+                    looped.remove(id);
+                } else {
+                    let set = named(set);
+                    bulk.insert_sorted(id, &set);
+                    looped.insert_sorted(id, &set);
+                }
+                let outcome = same_index(&bulk, &looped);
+                prop_assert!(outcome.is_ok(), "after op on set {id}: {outcome:?}");
+            }
+        }
     }
 
     #[test]

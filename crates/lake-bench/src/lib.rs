@@ -16,6 +16,7 @@
 //! | `e5`–`e8` `e11` `e12` | organization, enrichment, cleaning, extraction, integration | [`maintenance`] |
 //! | `e9` `e10` `e14` `a1` | querying and storage | [`storage`] |
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -10,7 +10,8 @@ use lake_formats::compress::{compress, Codec};
 use lake_formats::{columnar, rowenc};
 use lake_house::{HouseMetrics, LakeTable};
 use lake_obs::MetricsRegistry;
-use lake_query::degrade::{BreakerConfig, DegradationConfig, QueryBudget};
+use lake_query::degrade::{DegradationConfig, QueryBudget};
+use lake_query::BreakerConfig;
 use lake_query::fault::FaultSource;
 use lake_query::federated::{FederatedEngine, SourceBinding};
 use lake_query::parse_query;

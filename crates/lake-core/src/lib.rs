@@ -10,6 +10,7 @@
 //! Everything in the platform is built on top of this crate; it has no
 //! dependency on any storage or algorithm crate.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -23,6 +24,7 @@
 pub mod batch;
 pub mod crash;
 pub mod dataset;
+pub mod degrade;
 pub mod error;
 pub mod graph;
 pub mod ids;

@@ -18,11 +18,10 @@
 //! ## Execution model
 //!
 //! The range is split into contiguous chunks (a few per worker, so a
-//! slow chunk does not straggle the whole map), pushed through the
-//! vendored crossbeam mpmc channel as a shared work queue, and executed
-//! by scoped `std::thread` workers. Each worker sends `(chunk index,
-//! results)` back on a result channel; the caller slots chunks back into
-//! input order. Determinism therefore never depends on scheduling — only
+//! slow chunk does not straggle the whole map) that scoped `std::thread`
+//! workers claim in turn from a shared atomic cursor. Each worker sends
+//! `(chunk index, results)` back on a `std::sync::mpsc` channel; the
+//! caller slots chunks back into input order. Determinism therefore never depends on scheduling — only
 //! *when* a chunk is computed varies, never *what* or *where in the
 //! output* it lands.
 //!
@@ -41,10 +40,11 @@
 //! `lake-discovery`'s `par_prop.rs`) or process-wide with the
 //! `RUSTLAKE_WORKERS` environment variable.
 
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-/// Target number of chunks handed to each worker; >1 so the mpmc queue
-/// load-balances uneven per-item cost without hurting determinism.
+/// Target number of chunks handed to each worker; >1 so the shared
+/// cursor load-balances uneven per-item cost without hurting determinism.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Worker-count policy for a parallel section.
@@ -105,39 +105,33 @@ where
         return range.map(f).collect();
     }
 
-    // Contiguous chunks through a shared mpmc work queue.
+    // Contiguous chunks, claimed in turn through a shared cursor.
     let chunk = (n / (workers * CHUNKS_PER_WORKER)).max(1);
-    let (task_tx, task_rx) = channel::unbounded::<(usize, usize, usize)>();
-    let mut num_chunks = 0usize;
-    let mut lo = range.start;
-    while lo < range.end {
-        let hi = (lo + chunk).min(range.end);
-        // Receivers outlive this loop, so the send cannot fail.
-        let _ = task_tx.send((num_chunks, lo, hi));
-        num_chunks += 1;
-        lo = hi;
-    }
-    drop(task_tx);
+    let num_chunks = n.div_ceil(chunk);
+    let cursor = AtomicUsize::new(0);
 
     let mut slots: Vec<Option<Vec<R>>> = Vec::new();
     slots.resize_with(num_chunks, || None);
     std::thread::scope(|s| {
-        let (res_tx, res_rx) = channel::unbounded::<(usize, Vec<R>)>();
+        let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<R>)>();
         for _ in 0..workers {
-            let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
-            let f = &f;
-            s.spawn(move || {
-                while let Ok((ci, lo, hi)) = task_rx.recv() {
-                    let out: Vec<R> = (lo..hi).map(f).collect();
-                    if res_tx.send((ci, out)).is_err() {
-                        return;
-                    }
+            let (f, cursor) = (&f, &cursor);
+            s.spawn(move || loop {
+                // lint: ordering — the cursor only hands out distinct chunk indices.
+                let ci = cursor.fetch_add(1, Ordering::Relaxed);
+                if ci >= num_chunks {
+                    return;
+                }
+                let lo = range.start + ci * chunk;
+                let hi = (lo + chunk).min(range.end);
+                let out: Vec<R> = (lo..hi).map(f).collect();
+                if res_tx.send((ci, out)).is_err() {
+                    return;
                 }
             });
         }
         drop(res_tx);
-        drop(task_rx);
         // Drain until every worker has dropped its sender; a worker that
         // panicked mid-chunk leaves its slot empty, and the scope re-raises
         // its panic right after this loop ends.
@@ -178,15 +172,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn output_matches_sequential_in_order() {
-        for n in [0usize, 1, 2, 7, 100, 1000] {
-            for workers in [1usize, 2, 3, 8, 33] {
-                let seq: Vec<usize> = (0..n).map(|i| i * i + 1).collect();
-                let par = map_range(Parallelism::fixed(workers), 0..n, |i| i * i + 1);
-                assert_eq!(seq, par, "n={n} workers={workers}");
+        // Nonzero starts: chunk bounds are offsets from the range start.
+        for start in [0usize, 5, 100] {
+            for n in [0usize, 1, 2, 7, 100, 1000] {
+                for workers in [1usize, 2, 3, 8, 33] {
+                    let range = start..start + n;
+                    let seq: Vec<usize> = range.clone().map(|i| i * i + 1).collect();
+                    let par = map_range(Parallelism::fixed(workers), range, |i| i * i + 1);
+                    assert_eq!(seq, par, "start={start} n={n} workers={workers}");
+                }
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Ordered locks with a runtime lock-order sanitizer (DESIGN.md §13).
+//! Ordered locks with a runtime lock-order sanitizer (DESIGN.md §13), and
+//! the workspace's one multi-consumer work queue ([`unbounded`]).
 //!
 //! Every long-lived lock in the workspace is an [`OrderedMutex`] or
 //! [`OrderedRwLock`] constructed with a rank from [`rank`] — the single
@@ -27,8 +28,10 @@
 //! library code.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The single declared global lock order.
 ///
@@ -55,14 +58,35 @@ pub mod rank {
     /// Server tenant-namespace registry (`lake-server::tenant`); outer to
     /// the breaker/quota cells so a namespace holder may consult them.
     pub const SERVER_TENANTS: u32 = 25;
-    /// Circuit-breaker cell map (`lake-query::degrade`).
-    pub const QUERY_BREAKER: u32 = 30;
-    /// Per-key quota-ledger cells (`lake-query::degrade`).
-    pub const QUERY_QUOTA: u32 = 35;
+    /// Circuit-breaker cell map (`lake-core::degrade`).
+    pub const CORE_BREAKER: u32 = 30;
+    /// Per-key quota-ledger cells (`lake-core::degrade`).
+    pub const CORE_QUOTA: u32 = 35;
     /// Federated engine retry counters (`lake-query::federated`).
     pub const QUERY_RETRY_STATS: u32 = 40;
     /// Transaction-log retry counters (`lake-house::log`).
     pub const HOUSE_RETRY_STATS: u32 = 50;
+    /// Polystore placement registry (`lake-store::polystore`). The store
+    /// locks below are leaves among themselves — each guard is released
+    /// before its holder calls another substrate — and inner to every
+    /// tier lock, since any tier may call a store under its own lock.
+    pub const STORE_PLACEMENTS: u32 = 51;
+    /// Polystore file-substrate retry counters (`lake-store::polystore`).
+    pub const STORE_RETRY_STATS: u32 = 52;
+    /// Object-store fault-injector state (`lake-store::fault`).
+    pub const STORE_FAULT: u32 = 53;
+    /// Relational-store table map (`lake-store::relational`).
+    pub const STORE_RELATIONAL: u32 = 54;
+    /// Document-store collection map (`lake-store::document`).
+    pub const STORE_DOCUMENT: u32 = 55;
+    /// Graph-store graph map (`lake-store::graphstore`).
+    pub const STORE_GRAPH: u32 = 56;
+    /// In-memory object-store blob map (`lake-store::object`).
+    pub const STORE_OBJECT: u32 = 57;
+    /// Key-value store column families (`lake-store::kv`).
+    pub const STORE_KV_FAMILIES: u32 = 58;
+    /// Key-value store rows (`lake-store::kv`).
+    pub const STORE_KV_ROWS: u32 = 59;
     /// Metrics registry map (`lake-obs::metrics`); innermost of the
     /// tier locks so any tier may register metrics under its own lock.
     pub const OBS_REGISTRY: u32 = 60;
@@ -158,9 +182,9 @@ fn release(token: u64) {
     let _ = HELD.try_with(|h| h.borrow_mut().retain(|e| e.token != token));
 }
 
-/// A mutex participating in the global lock order. API mirrors the
-/// vendored `parking_lot::Mutex` (guards returned directly, poisoning
-/// absorbed), plus the rank bookkeeping described in the module docs.
+/// A mutex participating in the global lock order. `lock` returns the
+/// guard directly (a poisoned lock yields its inner guard), plus the rank
+/// bookkeeping described in the module docs.
 pub struct OrderedMutex<T: ?Sized> {
     name: &'static str,
     rank: u32,
@@ -368,6 +392,123 @@ impl<T: ?Sized> Drop for OrderedRwLockWriteGuard<'_, T> {
     }
 }
 
+/// Shared state of one [`unbounded`] queue: its items and both halves' counts.
+struct Queue<T> {
+    state: std::sync::Mutex<QueueState<T>>,
+    ready: std::sync::Condvar,
+}
+
+struct QueueState<T> {
+    items: VecDeque<T>,
+    senders: usize,
+    receivers: usize,
+}
+
+/// Sending half of an [`unbounded`] queue; clone it for more producers.
+pub struct Sender<T>(Arc<Queue<T>>);
+
+/// Receiving half of an [`unbounded`] queue; clone it for more consumers
+/// (each value goes to exactly one of them).
+pub struct Receiver<T>(Arc<Queue<T>>);
+
+/// [`Sender::send`] failed because every receiver is gone; the value
+/// comes back.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SendError<T>(pub T);
+
+/// [`Receiver::recv`] failed because the queue is empty and every sender
+/// is gone.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RecvError;
+
+/// An unbounded multi-producer, multi-consumer FIFO queue: one `Mutex`
+/// around a `VecDeque` and one `Condvar` that wakes a blocked receiver.
+/// [`Receiver::recv`] fails once the queue is empty and every sender is
+/// gone; [`Sender::send`] fails once every receiver is gone. The queue's
+/// mutex is never held across anything but the queue operation itself,
+/// so it stays outside the [`rank`] order.
+pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    let queue = Arc::new(Queue {
+        state: std::sync::Mutex::new(QueueState {
+            items: VecDeque::new(),
+            senders: 1,
+            receivers: 1,
+        }),
+        ready: std::sync::Condvar::new(),
+    });
+    (Sender(Arc::clone(&queue)), Receiver(queue))
+}
+
+impl<T> Queue<T> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl<T> Sender<T> {
+    /// Enqueue `value` and wake one blocked receiver; hands `value` back
+    /// when no receiver is left to take it.
+    pub fn send(&self, value: T) -> Result<(), SendError<T>> {
+        let mut st = self.0.lock();
+        if st.receivers == 0 {
+            return Err(SendError(value));
+        }
+        st.items.push_back(value);
+        drop(st);
+        self.0.ready.notify_one();
+        Ok(())
+    }
+}
+
+impl<T> Receiver<T> {
+    /// Dequeue the oldest value, blocking until one arrives; fails once
+    /// the queue is empty and every sender is gone.
+    pub fn recv(&self) -> Result<T, RecvError> {
+        let mut st = self.0.lock();
+        loop {
+            if let Some(v) = st.items.pop_front() {
+                return Ok(v);
+            }
+            if st.senders == 0 {
+                return Err(RecvError);
+            }
+            st = self.0.ready.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+}
+
+impl<T> Clone for Sender<T> {
+    fn clone(&self) -> Self {
+        self.0.lock().senders += 1;
+        Sender(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Clone for Receiver<T> {
+    fn clone(&self) -> Self {
+        self.0.lock().receivers += 1;
+        Receiver(Arc::clone(&self.0))
+    }
+}
+
+impl<T> Drop for Sender<T> {
+    fn drop(&mut self) {
+        let mut st = self.0.lock();
+        st.senders -= 1;
+        let none_left = st.senders == 0;
+        drop(st);
+        if none_left {
+            self.0.ready.notify_all();
+        }
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        self.0.lock().receivers -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,9 +604,23 @@ mod tests {
         let ranks = [
             rank::ORGANIZE_KAYAK,
             rank::QUERY_FAULT,
-            rank::QUERY_BREAKER,
+            rank::SERVER_WAL_FILE,
+            rank::SERVER_WAL_QUEUE,
+            rank::SERVER_WAL_MARK,
+            rank::SERVER_TENANTS,
+            rank::CORE_BREAKER,
+            rank::CORE_QUOTA,
             rank::QUERY_RETRY_STATS,
             rank::HOUSE_RETRY_STATS,
+            rank::STORE_PLACEMENTS,
+            rank::STORE_RETRY_STATS,
+            rank::STORE_FAULT,
+            rank::STORE_RELATIONAL,
+            rank::STORE_DOCUMENT,
+            rank::STORE_GRAPH,
+            rank::STORE_OBJECT,
+            rank::STORE_KV_FAMILIES,
+            rank::STORE_KV_ROWS,
             rank::OBS_REGISTRY,
             rank::OBS_TRACE,
             rank::OBS_EVENTS,
@@ -474,5 +629,48 @@ mod tests {
         for w in ranks.windows(2) {
             assert!(w[0] < w[1], "rank table must be strictly ascending");
         }
+    }
+
+    #[test]
+    fn fan_out_fan_in() {
+        let (tx, rx) = unbounded::<usize>();
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || {
+                    let mut got = 0usize;
+                    while rx.recv().is_ok() {
+                        got += 1;
+                    }
+                    got
+                })
+            })
+            .collect();
+        for i in 0..100 {
+            tx.send(i).unwrap();
+        }
+        drop(tx);
+        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn recv_fails_after_all_senders_drop() {
+        let (tx, rx) = unbounded::<u8>();
+        tx.send(7).unwrap();
+        drop(tx);
+        assert_eq!(rx.recv(), Ok(7));
+        assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn send_fails_after_all_receivers_drop() {
+        let (tx, rx) = unbounded::<u8>();
+        let rx2 = rx.clone();
+        drop(rx);
+        tx.send(1).unwrap();
+        assert_eq!(rx2.recv(), Ok(1));
+        drop(rx2);
+        assert_eq!(tx.send(2), Err(SendError(2)));
     }
 }

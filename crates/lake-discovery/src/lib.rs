@@ -19,6 +19,7 @@
 //! [`corpus`] holds the shared column-profile machinery, [`eval`] the
 //! precision/recall harness used by experiments T3 and E1–E4.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

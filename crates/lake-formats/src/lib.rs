@@ -12,6 +12,7 @@
 //! loading; the lakehouse (`lake-house`) uses the columnar encoding and its
 //! statistics for data skipping.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -24,6 +24,7 @@
 //! * [`grid`] — PEXESO-style hierarchical grid over unit vectors for
 //!   pruned vector-similarity joins.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -25,6 +25,7 @@
 //! * [`model::graphmeta`] — graph-based metamodels: Diamantini-style
 //!   lexical node merging and Sawadogo-style versioning/usage tracking.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

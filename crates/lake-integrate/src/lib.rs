@@ -13,6 +13,7 @@
 //! * [`alite`] — ALITE: embedding-based holistic column clustering over
 //!   discovered tables followed by Full Disjunction computation.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

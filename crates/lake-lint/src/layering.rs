@@ -287,7 +287,7 @@ workspace = true
     fn leaf_utility_reach_is_capped_at_tier_zero() {
         let ok = Manifest {
             name: "lake-obs".into(),
-            dependencies: vec!["lake-core".into(), "parking_lot".into()],
+            dependencies: vec!["lake-core".into(), "rand".into()],
         };
         assert!(check_manifest(&ok, "x").is_empty());
         let bad = Manifest {

@@ -42,6 +42,7 @@
 //! cargo run -p lake-lint -- check
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -16,6 +16,7 @@
 //!   provenance, and graph-based lineage queries (GOODS/CoreDB/Juneau all
 //!   "preserve the provenance information as graphs").
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

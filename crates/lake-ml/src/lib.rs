@@ -20,6 +20,7 @@
 //!
 //! Everything is deterministic given a seed.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -17,7 +17,7 @@
 //! ## Layering
 //!
 //! `lake-obs` is a **leaf utility crate**: it depends only on tier-0
-//! (`lake-core`) plus vendored `parking_lot`, and every other tier may
+//! (`lake-core`), and every other tier may
 //! depend on it (enforced by `lake-lint`'s layering pass). Library code
 //! here is panic-free and avoids slice indexing — it runs inside every
 //! hot path in the workspace.
@@ -38,6 +38,7 @@
 //! assert!(text.contains("lake_store_get_total 1"));
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

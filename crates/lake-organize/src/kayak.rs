@@ -12,12 +12,11 @@
 //! can be parallelized during execution."
 //!
 //! [`TaskGraph`] is the task-dependency DAG with both a sequential and a
-//! worker-pool parallel executor (crossbeam channels); experiment E5
-//! measures the speedup. [`Pipeline`] is the primitive-level DAG.
+//! worker-pool parallel executor (a `lake_core::sync` work queue);
+//! experiment E5 measures the speedup. [`Pipeline`] is the primitive-level DAG.
 
 use crate::DagDescription;
-use crossbeam::channel;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::{self, rank, OrderedMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,7 +117,7 @@ impl TaskGraph {
     }
 
     /// Execute with `workers` threads, respecting dependencies; ready
-    /// tasks are distributed over a crossbeam channel. Returns the
+    /// tasks are distributed over a shared work queue. Returns the
     /// completion order (which the tests validate against the DAG).
     pub fn run_parallel(&self, workers: usize) -> Result<Vec<TaskId>, lake_core::LakeError> {
         self.topo_order()?; // cycle check up front
@@ -131,7 +130,7 @@ impl TaskGraph {
         let workers = workers.max(1);
         // `None` is the shutdown sentinel: the worker finishing the last
         // task broadcasts one per worker, so every blocked `recv` wakes.
-        let (ready_tx, ready_rx) = channel::unbounded::<Option<usize>>();
+        let (ready_tx, ready_rx) = sync::unbounded::<Option<usize>>();
         for t in 0..n {
             if self.deps[t].is_empty() {
                 // `ready_rx` lives in this frame, so the channel is open.

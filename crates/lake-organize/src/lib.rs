@@ -23,6 +23,7 @@
 //! Each DAG-flavoured module exposes a [`DagDescription`] so the Table 2
 //! comparison can be generated from the implementations themselves.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

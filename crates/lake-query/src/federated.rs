@@ -28,11 +28,9 @@
 //! skip as an error — the pre-degradation semantics.
 
 use crate::ast::Query;
-use crate::degrade::{
-    Admission, BreakerState, CircuitBreaker, Completeness, DegradationConfig, SkipReason,
-    SkippedSource,
-};
+use crate::degrade::{Completeness, DegradationConfig, SkipReason, SkippedSource};
 use crate::fault::FaultSource;
+use lake_core::degrade::{Admission, BreakerState, CircuitBreaker};
 use lake_core::retry::{retry_with_stats, Clock, RetryStats, SystemClock};
 use lake_core::{Column, Json, LakeError, Result, Table, Value};
 use lake_obs::{Counter, Histogram, MetricsRegistry, MICROS_TO_SECONDS};
@@ -677,7 +675,8 @@ impl<'a> FederatedEngine<'a> {
 mod tests {
     use super::*;
     use crate::ast::parse_query;
-    use crate::degrade::{BreakerConfig, QueryBudget};
+    use crate::degrade::QueryBudget;
+    use lake_core::degrade::BreakerConfig;
     use lake_core::retry::{ManualClock, RetryPolicy};
     use lake_core::Dataset;
     use lake_core::DatasetId;

@@ -21,6 +21,7 @@
 //!   completeness reporting, and a seeded per-source fault injector that
 //!   makes every degradation path deterministically testable.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -41,9 +42,10 @@ pub mod federated;
 pub mod srql;
 
 pub use ast::{parse_query, Query};
-pub use degrade::{
-    BreakerConfig, BreakerState, CircuitBreaker, Completeness, DegradationConfig, QueryBudget,
-    QuotaConfig, QuotaDecision, QuotaLedger, QuotaUsage, SkipReason, SkippedSource,
+pub use degrade::{Completeness, DegradationConfig, QueryBudget, SkipReason, SkippedSource};
+pub use lake_core::degrade::{
+    Admission, BreakerConfig, BreakerState, CircuitBreaker, QuotaConfig, QuotaDecision,
+    QuotaLedger, QuotaUsage,
 };
 pub use fault::{FaultSource, FaultSourceStats};
 pub use federated::FederatedEngine;

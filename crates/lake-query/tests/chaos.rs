@@ -13,7 +13,8 @@
 use lake_core::retry::{Clock, ManualClock, RetryPolicy};
 use lake_core::{Dataset, DatasetId, LakeError, Table, Value};
 use lake_obs::MetricsRegistry;
-use lake_query::degrade::{BreakerConfig, BreakerState, DegradationConfig, QueryBudget, SkipReason};
+use lake_query::degrade::{DegradationConfig, QueryBudget, SkipReason};
+use lake_query::{BreakerConfig, BreakerState};
 use lake_query::fault::FaultSource;
 use lake_query::federated::{FederatedEngine, SourceBinding};
 use lake_query::parse_query;

@@ -48,6 +48,7 @@
 //! print!("{}", table.render());
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -19,9 +19,9 @@
 //! `RUSTLAKE_CRASH_AT` arm a deterministic in-process crash point on the
 //! write path (chaos harnesses only).
 
+use lake_core::degrade::QuotaConfig;
 use lake_core::{CrashSwitch, LakeError, Parallelism, Result, SystemClock};
 use lake_obs::MetricsRegistry;
-use lake_query::QuotaConfig;
 use lake_server::protocol::{self, Request, Verb, DEFAULT_MAX_FRAME_BYTES};
 use lake_server::{run_swarm, LakeServer, ServerConfig, SwarmConfig, WalConfig};
 use lake_store::polystore::Polystore;

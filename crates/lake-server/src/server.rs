@@ -33,13 +33,13 @@ use crate::protocol::{
 };
 use crate::tenant::Tenants;
 use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalOp};
+use lake_core::degrade::{Admission, BreakerConfig, QuotaConfig, QuotaDecision};
 use lake_core::retry::Clock;
+use lake_core::sync::{self, Receiver, Sender};
 use lake_core::{
     CrashPoint, CrashSwitch, Dataset, Json, LakeError, Parallelism, Result, SystemClock,
 };
 use lake_obs::{MetricsRegistry, MICROS_TO_SECONDS};
-use lake_query::degrade::Admission;
-use lake_query::{BreakerConfig, QuotaConfig, QuotaDecision};
 use lake_store::polystore::Polystore;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -279,7 +279,7 @@ impl LakeServer {
             all_exited: Condvar::new(),
         });
 
-        let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
+        let (tx, rx) = sync::unbounded::<TcpStream>();
         let mut workers = Vec::with_capacity(worker_count);
         for _ in 0..worker_count {
             let rx = rx.clone();
@@ -411,7 +411,7 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &crossbeam::channel::Sender<TcpStream>) {
+fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &Sender<TcpStream>) {
     loop {
         if shared.admission.is_draining() {
             return;
@@ -467,7 +467,7 @@ fn reject(shared: &Shared, mut stream: TcpStream, code: ErrorCode, detail: &str)
     shared.count_request("none", code, 0);
 }
 
-fn worker_loop(shared: &Shared, rx: &crossbeam::channel::Receiver<TcpStream>) {
+fn worker_loop(shared: &Shared, rx: &Receiver<TcpStream>) {
     while let Ok(mut stream) = rx.recv() {
         let inflight = shared.registry.gauge("lake_server_inflight");
         inflight.add(1);

@@ -6,16 +6,21 @@
 //! ladder reuses the workspace's existing machinery rather than inventing
 //! a parallel one:
 //!
-//! * quotas: [`lake_query::QuotaLedger`] keyed by tenant (count-based,
-//!   hence order-independent and replayable);
-//! * failure isolation: [`lake_query::CircuitBreaker`] keyed by tenant —
-//!   a tenant whose requests keep failing gets its *own* breaker opened
-//!   while its neighbours' requests keep flowing.
+//! * quotas: [`lake_core::degrade::QuotaLedger`] keyed by tenant
+//!   (count-based, hence order-independent and replayable);
+//! * failure isolation: [`lake_core::degrade::CircuitBreaker`] keyed by
+//!   tenant — a tenant whose requests keep failing gets its *own* breaker
+//!   opened while its neighbours' requests keep flowing.
+//!
+//! Both live in `lake-core`, below the query engine that keys the same
+//! breaker by source, so the server needs nothing from `lake-query`.
 
+use lake_core::degrade::{
+    Admission, BreakerConfig, BreakerState, CircuitBreaker, QuotaConfig, QuotaDecision,
+    QuotaLedger, QuotaUsage,
+};
 use lake_core::sync::rank;
 use lake_core::{DatasetId, LakeError, OrderedMutex, Result};
-use lake_query::degrade::Admission;
-use lake_query::{BreakerConfig, BreakerState, CircuitBreaker, QuotaConfig, QuotaLedger, QuotaUsage};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -93,7 +98,7 @@ impl Tenants {
     }
 
     /// Charge one request of `bytes` against the tenant's quota.
-    pub fn charge(&self, tenant: &str, bytes: u64) -> lake_query::QuotaDecision {
+    pub fn charge(&self, tenant: &str, bytes: u64) -> QuotaDecision {
         let cfg = self.quota_for(tenant);
         self.ledger.charge(tenant, &cfg, bytes)
     }

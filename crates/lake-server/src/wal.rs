@@ -832,8 +832,8 @@ mod tests {
     fn rotation_bounds_replay_with_a_snapshot() {
         let dir = temp_dir("rotate");
         let tenants = Tenants::new(
-            lake_query::QuotaConfig::unlimited(),
-            lake_query::BreakerConfig::default(),
+            lake_core::degrade::QuotaConfig::unlimited(),
+            lake_core::degrade::BreakerConfig::default(),
         );
         let store = Polystore::new();
         let (wal, _) = open(&dir);
@@ -866,8 +866,8 @@ mod tests {
         assert_eq!(rec.records.len(), 1, "only the post-rotation frame replays");
         assert_eq!(rec.report.stale_skipped, 0, "stale frames were compacted away");
         let restored_tenants = Tenants::new(
-            lake_query::QuotaConfig::unlimited(),
-            lake_query::BreakerConfig::default(),
+            lake_core::degrade::QuotaConfig::unlimited(),
+            lake_core::degrade::BreakerConfig::default(),
         );
         let restored_store = Polystore::new();
         let n = restore_snapshot(

@@ -9,7 +9,7 @@
 use lake_core::sync::sanitizer_violations;
 use lake_core::{Json, ManualClock, Parallelism, RetryPolicy, SystemClock};
 use lake_obs::MetricsRegistry;
-use lake_query::{BreakerConfig, QuotaConfig};
+use lake_core::degrade::{BreakerConfig, QuotaConfig};
 use lake_server::protocol::{self, ErrorCode, Request, Verb, DEFAULT_MAX_FRAME_BYTES};
 use lake_server::{run_swarm, LakeServer, ServerConfig, ServerHandle, SwarmConfig};
 use lake_store::fault::{FaultPlan, FaultStore, Op};

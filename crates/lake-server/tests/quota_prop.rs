@@ -7,7 +7,7 @@
 //! matches a closed-form sequential oracle.
 
 use lake_core::par::{self, Parallelism};
-use lake_query::{QuotaConfig, QuotaLedger, QuotaUsage};
+use lake_core::degrade::{QuotaConfig, QuotaLedger, QuotaUsage};
 use lake_server::{AdmissionController, Offer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;

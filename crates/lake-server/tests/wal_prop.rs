@@ -15,7 +15,7 @@
 
 use lake_core::{CrashSwitch, Json};
 use lake_obs::MetricsRegistry;
-use lake_query::{BreakerConfig, QuotaConfig};
+use lake_core::degrade::{BreakerConfig, QuotaConfig};
 use lake_server::wal::{
     apply_record, dump_state, restore_snapshot, Wal, WalConfig, WalOp, WalRecord,
 };

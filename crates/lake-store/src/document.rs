@@ -9,21 +9,34 @@
 
 use crate::predicate::{self, Predicate};
 use lake_core::{Json, LakeError, Result};
-use parking_lot::RwLock;
+use lake_core::sync::{rank, OrderedRwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A collection-organized document store.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DocumentStore {
-    collections: RwLock<BTreeMap<String, Vec<Json>>>,
+    collections: OrderedRwLock<BTreeMap<String, Vec<Json>>>,
     docs_scanned: AtomicU64,
+}
+
+impl Default for DocumentStore {
+    fn default() -> DocumentStore {
+        DocumentStore::new()
+    }
 }
 
 impl DocumentStore {
     /// An empty store.
     pub fn new() -> DocumentStore {
-        DocumentStore::default()
+        DocumentStore {
+            collections: OrderedRwLock::new(
+                BTreeMap::new(),
+                rank::STORE_DOCUMENT,
+                "store.document.collections",
+            ),
+            docs_scanned: AtomicU64::new(0),
+        }
     }
 
     /// Insert a document into `collection` (created on first use);

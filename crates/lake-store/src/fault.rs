@@ -28,7 +28,7 @@
 
 use crate::object::ObjectStore;
 use lake_core::{LakeError, Result};
-use parking_lot::Mutex;
+use lake_core::sync::{rank, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -294,7 +294,7 @@ impl State {
 /// the one-winner guarantee is never weakened.
 pub struct FaultStore<S: ObjectStore> {
     inner: S,
-    state: Mutex<State>,
+    state: OrderedMutex<State>,
 }
 
 impl<S: ObjectStore> FaultStore<S> {
@@ -303,13 +303,17 @@ impl<S: ObjectStore> FaultStore<S> {
         let rng = StdRng::seed_from_u64(plan.seed);
         FaultStore {
             inner,
-            state: Mutex::new(State {
-                plan,
-                counters: BTreeMap::new(),
-                rng,
-                dead: false,
-                stats: FaultStats::default(),
-            }),
+            state: OrderedMutex::new(
+                State {
+                    plan,
+                    counters: BTreeMap::new(),
+                    rng,
+                    dead: false,
+                    stats: FaultStats::default(),
+                },
+                rank::STORE_FAULT,
+                "store.fault.state",
+            ),
         }
     }
 

@@ -7,7 +7,7 @@
 //! that triple patterns match against.
 
 use lake_core::{LakeError, NodeId, PropertyGraph, Result, Value};
-use parking_lot::RwLock;
+use lake_core::sync::{rank, OrderedRwLock};
 use std::collections::BTreeMap;
 
 /// An RDF-ish triple derived from the property graph.
@@ -66,15 +66,23 @@ pub struct TriplePattern {
 }
 
 /// A named-graph store over [`PropertyGraph`]s.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GraphStore {
-    graphs: RwLock<BTreeMap<String, PropertyGraph>>,
+    graphs: OrderedRwLock<BTreeMap<String, PropertyGraph>>,
+}
+
+impl Default for GraphStore {
+    fn default() -> GraphStore {
+        GraphStore::new()
+    }
 }
 
 impl GraphStore {
     /// An empty store.
     pub fn new() -> GraphStore {
-        GraphStore::default()
+        GraphStore {
+            graphs: OrderedRwLock::new(BTreeMap::new(), rank::STORE_GRAPH, "store.graph.graphs"),
+        }
     }
 
     /// Store (or replace) a named graph.

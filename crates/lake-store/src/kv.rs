@@ -6,24 +6,34 @@
 //! sorted row scans, and prefix scans.
 
 use lake_core::{LakeError, Result, Value};
-use parking_lot::RwLock;
+use lake_core::sync::{rank, OrderedRwLock};
 use std::collections::BTreeMap;
 
 type Row = BTreeMap<(String, String), Value>; // (family, column) → value
 
 /// A sorted multi-family key-value store.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct KvStore {
-    rows: RwLock<BTreeMap<String, Row>>,
-    families: RwLock<Vec<String>>,
+    rows: OrderedRwLock<BTreeMap<String, Row>>,
+    families: OrderedRwLock<Vec<String>>,
+}
+
+impl Default for KvStore {
+    fn default() -> KvStore {
+        KvStore::with_families(&[])
+    }
 }
 
 impl KvStore {
     /// A new store with the given column families.
     pub fn with_families(families: &[&str]) -> KvStore {
         KvStore {
-            rows: RwLock::new(BTreeMap::new()),
-            families: RwLock::new(families.iter().map(|s| s.to_string()).collect()),
+            rows: OrderedRwLock::new(BTreeMap::new(), rank::STORE_KV_ROWS, "store.kv.rows"),
+            families: OrderedRwLock::new(
+                families.iter().map(|s| s.to_string()).collect(),
+                rank::STORE_KV_FAMILIES,
+                "store.kv.families",
+            ),
         }
     }
 

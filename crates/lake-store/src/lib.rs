@@ -27,6 +27,7 @@
 //! * [`obs`] — an observing [`ObjectStore`] decorator recording per-op
 //!   counts, bytes, and latency histograms into a `lake-obs` registry.
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -27,7 +27,7 @@
 //!   success for a call whose caller saw an error.
 
 use lake_core::{LakeError, Result};
-use parking_lot::RwLock;
+use lake_core::sync::{rank, OrderedRwLock};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,15 +95,23 @@ impl<S: ObjectStore + ?Sized> ObjectStore for Arc<S> {
 }
 
 /// In-memory object store; the default for tests and benchmarks.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemoryStore {
-    blobs: RwLock<BTreeMap<String, Vec<u8>>>,
+    blobs: OrderedRwLock<BTreeMap<String, Vec<u8>>>,
+}
+
+impl Default for MemoryStore {
+    fn default() -> MemoryStore {
+        MemoryStore::new()
+    }
 }
 
 impl MemoryStore {
     /// A fresh, empty store.
     pub fn new() -> MemoryStore {
-        MemoryStore::default()
+        MemoryStore {
+            blobs: OrderedRwLock::new(BTreeMap::new(), rank::STORE_OBJECT, "store.object.blobs"),
+        }
     }
 
     /// Number of stored blobs.

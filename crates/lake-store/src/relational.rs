@@ -9,21 +9,34 @@
 
 use crate::predicate::{self, Predicate};
 use lake_core::{LakeError, Result, Row, Table};
-use parking_lot::RwLock;
+use lake_core::sync::{rank, OrderedRwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named-table relational store with predicate scans.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RelationalStore {
-    tables: RwLock<BTreeMap<String, Table>>,
+    tables: OrderedRwLock<BTreeMap<String, Table>>,
     rows_scanned: AtomicU64,
+}
+
+impl Default for RelationalStore {
+    fn default() -> RelationalStore {
+        RelationalStore::new()
+    }
 }
 
 impl RelationalStore {
     /// An empty store.
     pub fn new() -> RelationalStore {
-        RelationalStore::default()
+        RelationalStore {
+            tables: OrderedRwLock::new(
+                BTreeMap::new(),
+                rank::STORE_RELATIONAL,
+                "store.relational.tables",
+            ),
+            rows_scanned: AtomicU64::new(0),
+        }
     }
 
     /// Create a table (errors if the name exists).

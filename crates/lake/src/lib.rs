@@ -19,6 +19,7 @@
 //! assert_eq!(meta.format, "csv");
 //! ```
 
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -53,6 +54,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use users::{AccessControl, Operation};
 use zones::{OrganizationPolicy, Pond, Zone};
+
+// Used only by the bins: `lake_house` by `obs_report`, `lake_sched` by
+// `lake_cli`.
+use lake_house as _;
+use lake_sched as _;
 
 /// The data lake: one polystore plus every functional tier.
 pub struct DataLake {

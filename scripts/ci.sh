@@ -7,8 +7,10 @@
 #
 #   build → test (every unit, property, chaos and calibration suite)
 #   → bench/ locked build (a refactor that breaks a public item it
-#     imports, or a dependency-list change that stales bench/Cargo.lock,
-#     fails here instead of in the benchmark run)
+#     imports fails here instead of in the benchmark run, and so does a
+#     dependency change that stales bench/Cargo.lock: an added edge, or a
+#     removed edge whose two packages the benchmark still builds; a
+#     removal that drops a package from its graph leaves the lock valid)
 #   → clippy on every target with `-D warnings` (it also enforces
 #     panic-freedom, hot-path indexing and clock discipline: each library
 #     crate's lib.rs sets those levels, `clippy.toml` configures them)

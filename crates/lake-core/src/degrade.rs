@@ -8,7 +8,7 @@
 //! caller's clock reading and byte counts, so they live here, below every
 //! tier that consults them.
 
-use crate::sync::{rank, OrderedMutex};
+use crate::sync::LeafMutex;
 use std::collections::BTreeMap;
 
 /// Breaker thresholds shared by all backends of one engine.
@@ -92,7 +92,7 @@ impl Default for BreakerCell {
 /// [`crate::retry::ManualClock`]: no background timers, no wall time.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    cells: OrderedMutex<BTreeMap<String, BreakerCell>>,
+    cells: LeafMutex<BTreeMap<String, BreakerCell>>,
 }
 
 impl Default for CircuitBreaker {
@@ -105,7 +105,7 @@ impl CircuitBreaker {
     /// A breaker set with every backend Closed.
     pub fn new() -> CircuitBreaker {
         CircuitBreaker {
-            cells: OrderedMutex::new(BTreeMap::new(), rank::CORE_BREAKER, "core.breaker.cells"),
+            cells: LeafMutex::new(BTreeMap::new(), "core.breaker.cells"),
         }
     }
 
@@ -257,7 +257,7 @@ pub struct QuotaUsage {
 /// counts.
 #[derive(Debug)]
 pub struct QuotaLedger {
-    cells: OrderedMutex<BTreeMap<String, QuotaUsage>>,
+    cells: LeafMutex<BTreeMap<String, QuotaUsage>>,
 }
 
 impl Default for QuotaLedger {
@@ -270,7 +270,7 @@ impl QuotaLedger {
     /// A ledger with no consumption recorded.
     pub fn new() -> QuotaLedger {
         QuotaLedger {
-            cells: OrderedMutex::new(BTreeMap::new(), rank::CORE_QUOTA, "core.quota.cells"),
+            cells: LeafMutex::new(BTreeMap::new(), "core.quota.cells"),
         }
     }
 

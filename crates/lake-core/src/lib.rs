@@ -48,6 +48,6 @@ pub use json::Json;
 pub use par::Parallelism;
 pub use retry::{Clock, ManualClock, RetryPolicy, RetryStats, SystemClock};
 pub use schema::{Field, Schema};
-pub use sync::{OrderedMutex, OrderedRwLock};
+pub use sync::{LeafMutex, LeafRwLock};
 pub use table::{Column, Row, Table};
 pub use value::{DataType, Value};

@@ -13,7 +13,7 @@
 //! other error kind propagates on first occurrence.
 
 use crate::error::Result;
-use crate::sync::{rank, OrderedMutex};
+use crate::sync::LeafMutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -57,7 +57,7 @@ impl Clock for SystemClock {
 /// deterministic.
 #[derive(Debug)]
 pub struct ManualClock {
-    slept: OrderedMutex<Vec<u64>>,
+    slept: LeafMutex<Vec<u64>>,
     advanced_micros: std::sync::atomic::AtomicU64,
 }
 
@@ -71,7 +71,7 @@ impl ManualClock {
     /// A fresh clock with no recorded sleeps, at virtual time zero.
     pub fn new() -> ManualClock {
         ManualClock {
-            slept: OrderedMutex::new(Vec::new(), rank::CORE_CLOCK, "core.clock.slept"),
+            slept: LeafMutex::new(Vec::new(), "core.clock.slept"),
             advanced_micros: std::sync::atomic::AtomicU64::new(0),
         }
     }

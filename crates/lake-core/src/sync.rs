@@ -1,128 +1,59 @@
-//! Ordered locks with a runtime lock-order sanitizer (DESIGN.md §13), and
-//! the workspace's one multi-consumer work queue ([`unbounded`]).
+//! Leaf locks with a runtime nesting sanitizer (DESIGN.md §13), and the
+//! workspace's one multi-consumer work queue ([`unbounded`]).
 //!
-//! Every long-lived lock in the workspace is an [`OrderedMutex`] or
-//! [`OrderedRwLock`] constructed with a rank from [`rank`] — the single
-//! declared global lock order. The discipline is strict-ascent: a thread
-//! may acquire a lock only while every lock it already holds has a
-//! *strictly smaller* rank. Any set of threads obeying strict ascent can
-//! never form a hold-and-wait cycle, so the discipline is deadlock
-//! freedom by construction; re-entrant acquisition of the same lock
-//! (equal rank) is rejected for the same reason.
+//! Every long-lived lock in the workspace is a [`LeafMutex`] or
+//! [`LeafRwLock`], and the discipline is one rule: **a thread holds at
+//! most one lock**. Lock-order deadlock needs a thread that waits for a
+//! lock while holding another, so a workspace of leaf locks cannot
+//! deadlock on them, whatever order threads take them in. Re-entering the
+//! lock a thread already holds is a nesting like any other and is
+//! rejected too.
+//!
+//! The one declared exception is [`LeafMutex::lock_inside`]: the WAL's
+//! group-commit leader takes the append queue while it holds the journal
+//! file. It stays deadlock-free because the queue is only ever taken
+//! alone or inside the file, and nothing is taken under it.
 //!
 //! In debug builds (the configuration every test and chaos suite runs
-//! under) each acquisition is checked against a per-thread stack of held
-//! locks. A rank inversion raises a panic naming **both** sites — where
-//! the blocking lock was acquired and where the inverting acquisition was
-//! attempted — turning a would-be deadlock interleaving into a
+//! under) a thread-local slot records the one lock the thread holds and
+//! where it was acquired. Acquiring while the slot is full raises a panic
+//! naming **both** sites, turning a would-be deadlock interleaving into a
 //! deterministic, attributable failure. Release builds skip the
 //! bookkeeping entirely.
 //!
-//! The same contract is enforced statically by lake-lint rule 6
-//! (`lock-order`), which parses the [`rank`] constants below as its
-//! declared order; the chaos suites (`tests/chaos.rs` of `lake-house`,
+//! The same rule is enforced statically by lake-lint rule 6
+//! (`nested-lock`); the chaos suites (`tests/chaos.rs` of `lake-house`,
 //! `lake-query` and `lake-server`) exercise the runtime half under seeds
-//! 7/42/1337. The sanitizer panics through
-//! [`std::panic::panic_any`] — a deliberate, typed abort, not an
-//! accidental `panic!` — so the panic-freedom lint stays meaningful for
-//! library code.
+//! 7/42/1337. The sanitizer panics through [`std::panic::panic_any`] — a
+//! deliberate, typed abort, not an accidental `panic!` — so the
+//! panic-freedom lint stays meaningful for library code.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
-/// The single declared global lock order.
-///
-/// Ranks ascend outer → inner: a lock may be acquired only while all
-/// held locks have strictly smaller ranks. Gaps of 10 leave room to
-/// slot new locks between existing ones without renumbering. This table
-/// is mirrored in DESIGN.md §13 and parsed by lake-lint rule 6, so the
-/// static and runtime checkers share one source of truth.
-pub mod rank {
-    /// KAYAK parallel task-completion list (`lake-organize`).
-    pub const ORGANIZE_KAYAK: u32 = 10;
-    /// Federated-query fault injector state (`lake-query::fault`).
-    pub const QUERY_FAULT: u32 = 20;
-    /// Write-ahead-journal file handle (`lake-server::wal`); a group-commit
-    /// leader drains the append queue while holding it, so it ranks outer
-    /// to [`SERVER_WAL_QUEUE`].
-    pub const SERVER_WAL_FILE: u32 = 21;
-    /// Write-ahead-journal append queue (`lake-server::wal`).
-    pub const SERVER_WAL_QUEUE: u32 = 22;
-    /// Contiguous-applied watermark (`lake-server::wal`): the highest
-    /// journal sequence below which every entry has been applied, which
-    /// bounds what rotation may compact away.
-    pub const SERVER_WAL_MARK: u32 = 23;
-    /// Server tenant-namespace registry (`lake-server::tenant`); outer to
-    /// the breaker/quota cells so a namespace holder may consult them.
-    pub const SERVER_TENANTS: u32 = 25;
-    /// Circuit-breaker cell map (`lake-core::degrade`).
-    pub const CORE_BREAKER: u32 = 30;
-    /// Per-key quota-ledger cells (`lake-core::degrade`).
-    pub const CORE_QUOTA: u32 = 35;
-    /// Federated engine retry counters (`lake-query::federated`).
-    pub const QUERY_RETRY_STATS: u32 = 40;
-    /// Transaction-log retry counters (`lake-house::log`).
-    pub const HOUSE_RETRY_STATS: u32 = 50;
-    /// Polystore placement registry (`lake-store::polystore`). The store
-    /// locks below are leaves among themselves — each guard is released
-    /// before its holder calls another substrate — and inner to every
-    /// tier lock, since any tier may call a store under its own lock.
-    pub const STORE_PLACEMENTS: u32 = 51;
-    /// Polystore file-substrate retry counters (`lake-store::polystore`).
-    pub const STORE_RETRY_STATS: u32 = 52;
-    /// Object-store fault-injector state (`lake-store::fault`).
-    pub const STORE_FAULT: u32 = 53;
-    /// Relational-store table map (`lake-store::relational`).
-    pub const STORE_RELATIONAL: u32 = 54;
-    /// Document-store collection map (`lake-store::document`).
-    pub const STORE_DOCUMENT: u32 = 55;
-    /// Graph-store graph map (`lake-store::graphstore`).
-    pub const STORE_GRAPH: u32 = 56;
-    /// In-memory object-store blob map (`lake-store::object`).
-    pub const STORE_OBJECT: u32 = 57;
-    /// Key-value store column families (`lake-store::kv`).
-    pub const STORE_KV_FAMILIES: u32 = 58;
-    /// Key-value store rows (`lake-store::kv`).
-    pub const STORE_KV_ROWS: u32 = 59;
-    /// Metrics registry map (`lake-obs::metrics`); innermost of the
-    /// tier locks so any tier may register metrics under its own lock.
-    pub const OBS_REGISTRY: u32 = 60;
-    /// Tracer finished-span ring (`lake-obs::trace`).
-    pub const OBS_TRACE: u32 = 70;
-    /// Event-log ring (`lake-obs::events`).
-    pub const OBS_EVENTS: u32 = 80;
-    /// `ManualClock` backoff schedule (`lake-core::retry`); the leafmost
-    /// lock — clocks are read from inside every other subsystem.
-    pub const CORE_CLOCK: u32 = 90;
-}
-
-/// One lock a thread currently holds.
+/// The lock a thread currently holds.
 #[derive(Clone, Copy)]
 struct Held {
-    rank: u32,
+    /// Address of the lock, which ties a guard to the slot.
+    lock: usize,
     name: &'static str,
-    file: &'static str,
-    line: u32,
-    token: u64,
+    site: &'static Location<'static>,
 }
 
 thread_local! {
-    /// Locks held by this thread, in acquisition order (not a strict
-    /// stack: out-of-order release is legal and common).
-    static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread acquisition counter; tokens tie a guard to its entry.
-    static NEXT_TOKEN: RefCell<u64> = const { RefCell::new(0) };
+    /// The one lock this thread holds, if any.
+    static HELD: Cell<Option<Held>> = const { Cell::new(None) };
 }
 
-/// Total rank inversions detected process-wide (each one also panics).
+/// Total nesting violations detected process-wide (each one also panics).
 /// Chaos gates assert this stays zero across a run.
 // lint: ordering — monotonic violation counter, no ordering dependency.
 static VIOLATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Rank inversions detected so far in this process. Non-zero means a
+/// Nesting violations detected so far in this process. Non-zero means a
 /// sanitizer panic fired somewhere (and was perhaps caught by a test
 /// harness); gates treat any non-zero value as a failure.
 pub fn sanitizer_violations() -> u64 {
@@ -135,260 +66,232 @@ pub fn sanitizer_enabled() -> bool {
     cfg!(debug_assertions)
 }
 
-/// Record an acquisition attempt; panics on rank inversion. Returns the
-/// token identifying the held entry (0 when the sanitizer is off).
+/// Count a violation and panic with `message`.
+fn violation(message: String) -> ! {
+    // lint: ordering — monotonic violation counter, no ordering dependency.
+    VIOLATIONS.fetch_add(1, Ordering::Relaxed);
+    #[expect(clippy::panic, reason = "the debug-build sanitizer panics on a nested acquisition")]
+    std::panic::panic_any(message)
+}
+
+/// Record that this thread takes the lock at `lock`; panics if it already
+/// holds one. Returns the address the guard releases (0 when the
+/// sanitizer is off).
 #[track_caller]
-fn acquire(rank: u32, name: &'static str) -> u64 {
+fn acquire(lock: usize, name: &'static str) -> usize {
     if !sanitizer_enabled() {
         return 0;
     }
     let site = Location::caller();
-    let blocking = HELD.with(|h| {
-        h.borrow().iter().filter(|e| e.rank >= rank).max_by_key(|e| e.rank).copied()
-    });
-    if let Some(worst) = blocking {
-        // lint: ordering — monotonic violation counter, no ordering dependency.
-        VIOLATIONS.fetch_add(1, Ordering::Relaxed);
-        #[expect(clippy::panic, reason = "the debug-build sanitizer panics on a rank inversion")]
-        std::panic::panic_any(format!(
-            "lock-order violation: acquiring `{name}` (rank {rank}) at {}:{} while holding \
-             `{}` (rank {}) acquired at {}:{} — the declared order (lake_core::sync::rank) \
-             requires strictly increasing ranks",
+    if let Some(held) = HELD.get() {
+        violation(format!(
+            "nested lock: acquiring `{name}` at {}:{} while holding `{}` acquired at {}:{} — \
+             a thread holds at most one lock (lake_core::sync)",
             site.file(),
             site.line(),
-            worst.name,
-            worst.rank,
-            worst.file,
-            worst.line,
+            held.name,
+            held.site.file(),
+            held.site.line(),
         ));
     }
-    let token = NEXT_TOKEN.with(|t| {
-        let mut t = t.borrow_mut();
-        *t += 1;
-        *t
-    });
-    HELD.with(|h| {
-        h.borrow_mut().push(Held { rank, name, file: site.file(), line: site.line(), token });
-    });
-    token
+    HELD.set(Some(Held { lock, name, site }));
+    lock
 }
 
-/// Drop the held entry for `token` (no-op for untracked guards). Uses
+/// Empty the slot a guard filled (no-op for untracked guards). Uses
 /// `try_with` so guards dropped during thread teardown stay safe.
-fn release(token: u64) {
-    if token == 0 {
-        return;
+fn release(lock: usize) {
+    if lock != 0 {
+        let _ = HELD.try_with(|h| h.set(None));
     }
-    let _ = HELD.try_with(|h| h.borrow_mut().retain(|e| e.token != token));
 }
 
-/// A mutex participating in the global lock order. `lock` returns the
-/// guard directly (a poisoned lock yields its inner guard), plus the rank
-/// bookkeeping described in the module docs.
-pub struct OrderedMutex<T: ?Sized> {
+/// The address identifying a lock in the sanitizer slot.
+fn addr<T: ?Sized>(lock: &T) -> usize {
+    std::ptr::from_ref(lock).cast::<()>() as usize
+}
+
+/// A mutex no thread holds together with another lock. `lock` returns the
+/// guard directly (a poisoned lock yields its inner guard), plus the
+/// sanitizer bookkeeping described in the module docs.
+pub struct LeafMutex<T: ?Sized> {
     name: &'static str,
-    rank: u32,
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`OrderedMutex`]; releasing it pops the sanitizer entry.
-pub struct OrderedMutexGuard<'a, T: ?Sized> {
-    token: u64,
+/// RAII guard for [`LeafMutex`]; dropping it empties the sanitizer slot.
+pub struct LeafMutexGuard<'a, T: ?Sized> {
+    /// The lock's address while the sanitizer tracks this guard, else 0.
+    lock: usize,
     guard: std::sync::MutexGuard<'a, T>,
 }
 
-impl<T> OrderedMutex<T> {
-    /// A mutex holding `value` at `rank` (a [`rank`] constant), labeled
-    /// `name` (`<tier>.<module>.<field>`) for sanitizer reports.
-    pub const fn new(value: T, rank: u32, name: &'static str) -> OrderedMutex<T> {
-        OrderedMutex { name, rank, inner: std::sync::Mutex::new(value) }
+impl<T> LeafMutex<T> {
+    /// A mutex holding `value`, labeled `name` (`<tier>.<module>.<field>`)
+    /// for sanitizer reports.
+    pub const fn new(value: T, name: &'static str) -> LeafMutex<T> {
+        LeafMutex { name, inner: std::sync::Mutex::new(value) }
     }
 
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized> OrderedMutex<T> {
-    /// Acquire the lock, enforcing strict rank ascent.
+impl<T: ?Sized> LeafMutex<T> {
+    /// Acquire the lock; the thread must hold no other.
     #[track_caller]
-    pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        let token = acquire(self.rank, self.name);
-        let guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        OrderedMutexGuard { token, guard }
+    pub fn lock(&self) -> LeafMutexGuard<'_, T> {
+        let lock = acquire(addr(self), self.name);
+        LeafMutexGuard { lock, guard: self.inner.lock().unwrap_or_else(PoisonError::into_inner) }
+    }
+
+    /// Acquire the lock while the thread holds `outer` — the one declared
+    /// nested pair (DESIGN.md §13). The thread's held lock must be
+    /// `outer`'s, and it stays the held lock, so anything acquired under
+    /// this guard still panics; the borrow keeps `outer` alive meanwhile.
+    #[track_caller]
+    pub fn lock_inside<'a, U: ?Sized>(
+        &'a self,
+        outer: &'a LeafMutexGuard<'_, U>,
+    ) -> LeafMutexGuard<'a, T> {
+        if sanitizer_enabled() {
+            let held = HELD.get();
+            if held.is_none_or(|h| h.lock != outer.lock) {
+                let site = Location::caller();
+                violation(format!(
+                    "nested lock: acquiring `{}` at {}:{} inside a guard this thread does not \
+                     hold (it holds {})",
+                    self.name,
+                    site.file(),
+                    site.line(),
+                    held.map_or("no lock", |h| h.name),
+                ));
+            }
+        }
+        LeafMutexGuard { lock: 0, guard: self.inner.lock().unwrap_or_else(PoisonError::into_inner) }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The lock's declared rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// The lock's sanitizer label.
-    pub fn name(&self) -> &'static str {
-        self.name
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
+impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for LeafMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedMutex")
-            .field("name", &self.name)
-            .field("rank", &self.rank)
-            .finish_non_exhaustive()
+        f.debug_struct("LeafMutex").field("name", &self.name).finish_non_exhaustive()
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for OrderedMutexGuard<'_, T> {
+impl<T: ?Sized> std::ops::Deref for LeafMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.guard
     }
 }
 
-impl<T: ?Sized> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
+impl<T: ?Sized> std::ops::DerefMut for LeafMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
     }
 }
 
-impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
+impl<T: ?Sized> Drop for LeafMutexGuard<'_, T> {
     fn drop(&mut self) {
-        release(self.token);
+        release(self.lock);
     }
 }
 
-/// A reader-writer lock participating in the global lock order. Read and
-/// write acquisitions are both rank-checked: a read re-entered under a
-/// queued writer deadlocks just as surely as a write cycle.
-pub struct OrderedRwLock<T: ?Sized> {
+/// A reader-writer lock no thread holds together with another lock. Read
+/// and write acquisitions are both checked: a read re-entered under a
+/// queued writer deadlocks just as surely as a nested write.
+pub struct LeafRwLock<T: ?Sized> {
     name: &'static str,
-    rank: u32,
     inner: std::sync::RwLock<T>,
 }
 
-/// RAII shared-read guard for [`OrderedRwLock`].
-pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
-    token: u64,
+/// RAII shared-read guard for [`LeafRwLock`].
+pub struct LeafRwLockReadGuard<'a, T: ?Sized> {
+    lock: usize,
     guard: std::sync::RwLockReadGuard<'a, T>,
 }
 
-/// RAII exclusive-write guard for [`OrderedRwLock`].
-pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
-    token: u64,
+/// RAII exclusive-write guard for [`LeafRwLock`].
+pub struct LeafRwLockWriteGuard<'a, T: ?Sized> {
+    lock: usize,
     guard: std::sync::RwLockWriteGuard<'a, T>,
 }
 
-impl<T> OrderedRwLock<T> {
-    /// A rwlock holding `value` at `rank` (a [`rank`] constant), labeled
-    /// `name` for sanitizer reports.
-    pub const fn new(value: T, rank: u32, name: &'static str) -> OrderedRwLock<T> {
-        OrderedRwLock { name, rank, inner: std::sync::RwLock::new(value) }
+impl<T> LeafRwLock<T> {
+    /// A rwlock holding `value`, labeled `name` for sanitizer reports.
+    pub const fn new(value: T, name: &'static str) -> LeafRwLock<T> {
+        LeafRwLock { name, inner: std::sync::RwLock::new(value) }
     }
 
     /// Consume the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        match self.inner.into_inner() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized> OrderedRwLock<T> {
-    /// Acquire a shared read lock, enforcing strict rank ascent.
+impl<T: ?Sized> LeafRwLock<T> {
+    /// Acquire a shared read lock; the thread must hold no other.
     #[track_caller]
-    pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
-        let token = acquire(self.rank, self.name);
-        let guard = match self.inner.read() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        OrderedRwLockReadGuard { token, guard }
+    pub fn read(&self) -> LeafRwLockReadGuard<'_, T> {
+        let lock = acquire(addr(self), self.name);
+        LeafRwLockReadGuard { lock, guard: self.inner.read().unwrap_or_else(PoisonError::into_inner) }
     }
 
-    /// Acquire an exclusive write lock, enforcing strict rank ascent.
+    /// Acquire an exclusive write lock; the thread must hold no other.
     #[track_caller]
-    pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
-        let token = acquire(self.rank, self.name);
-        let guard = match self.inner.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        OrderedRwLockWriteGuard { token, guard }
+    pub fn write(&self) -> LeafRwLockWriteGuard<'_, T> {
+        let lock = acquire(addr(self), self.name);
+        LeafRwLockWriteGuard { lock, guard: self.inner.write().unwrap_or_else(PoisonError::into_inner) }
     }
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        match self.inner.get_mut() {
-            Ok(v) => v,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// The lock's declared rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// The lock's sanitizer label.
-    pub fn name(&self) -> &'static str {
-        self.name
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for OrderedRwLock<T> {
+impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for LeafRwLock<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedRwLock")
-            .field("name", &self.name)
-            .field("rank", &self.rank)
-            .finish_non_exhaustive()
+        f.debug_struct("LeafRwLock").field("name", &self.name).finish_non_exhaustive()
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for OrderedRwLockReadGuard<'_, T> {
+impl<T: ?Sized> std::ops::Deref for LeafRwLockReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.guard
     }
 }
 
-impl<T: ?Sized> std::ops::Deref for OrderedRwLockWriteGuard<'_, T> {
+impl<T: ?Sized> std::ops::Deref for LeafRwLockWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
         &self.guard
     }
 }
 
-impl<T: ?Sized> std::ops::DerefMut for OrderedRwLockWriteGuard<'_, T> {
+impl<T: ?Sized> std::ops::DerefMut for LeafRwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.guard
     }
 }
 
-impl<T: ?Sized> Drop for OrderedRwLockReadGuard<'_, T> {
+impl<T: ?Sized> Drop for LeafRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
-        release(self.token);
+        release(self.lock);
     }
 }
 
-impl<T: ?Sized> Drop for OrderedRwLockWriteGuard<'_, T> {
+impl<T: ?Sized> Drop for LeafRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
-        release(self.token);
+        release(self.lock);
     }
 }
 
@@ -426,7 +329,7 @@ pub struct RecvError;
 /// [`Receiver::recv`] fails once the queue is empty and every sender is
 /// gone; [`Sender::send`] fails once every receiver is gone. The queue's
 /// mutex is never held across anything but the queue operation itself,
-/// so it stays outside the [`rank`] order.
+/// so it is a raw leaf lock.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     let queue = Arc::new(Queue {
         state: std::sync::Mutex::new(QueueState {
@@ -441,7 +344,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 
 impl<T> Queue<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -472,7 +375,7 @@ impl<T> Receiver<T> {
             if st.senders == 0 {
                 return Err(RecvError);
             }
-            st = self.0.ready.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
+            st = self.0.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -513,9 +416,9 @@ impl<T> Drop for Receiver<T> {
 mod tests {
     use super::*;
 
-    static LOW: OrderedMutex<u32> = OrderedMutex::new(0, 10, "test.low");
-    static HIGH: OrderedMutex<u32> = OrderedMutex::new(0, 90, "test.high");
-    static MID: OrderedRwLock<u32> = OrderedRwLock::new(0, 50, "test.mid");
+    static FIRST: LeafMutex<u32> = LeafMutex::new(0, "test.first");
+    static SECOND: LeafMutex<u32> = LeafMutex::new(0, "test.second");
+    static SHARED: LeafRwLock<u32> = LeafRwLock::new(0, "test.shared");
 
     /// Run `f` on a fresh thread and return its panic payload as text.
     fn panic_message_of(f: impl FnOnce() + Send + 'static) -> Option<String> {
@@ -529,66 +432,98 @@ mod tests {
     }
 
     #[test]
-    fn ascending_acquisition_is_clean() {
-        let a = LOW.lock();
-        let b = MID.read();
-        let c = HIGH.lock();
-        assert_eq!((*a, *b, *c), (0, 0, 0));
+    fn sequential_acquisitions_are_clean_and_guards_deref() {
+        let local = LeafMutex::new(vec![1u8], "test.local.vec");
+        local.lock().push(2);
+        let first = FIRST.lock();
+        assert_eq!(*first, 0);
+        drop(first);
+        assert_eq!(*SHARED.read(), 0);
+        let rw = LeafRwLock::new(7u32, "test.local.rw");
+        *rw.write() = 8;
+        assert_eq!(*rw.read(), 8);
+        assert_eq!((local.into_inner(), rw.into_inner()), (vec![1, 2], 8));
     }
 
-    #[test]
-    fn out_of_order_release_is_legal() {
-        let a = LOW.lock();
-        let b = MID.write();
-        drop(a); // release the outer lock first: a strict stack would misfire here
-        let c = HIGH.lock(); // still legal: max held rank is 50 < 90
-        assert_eq!((*b, *c), (0, 0));
-    }
-
+    /// Nesting any two distinct locks panics, whichever is outer and
+    /// whether each is a mutex or a rwlock, naming both sites.
     #[test]
     fn deliberate_inversion_panics_naming_both_sites() {
-        let msg = panic_message_of(|| {
-            let _hold = HIGH.lock();
-            let _inv = LOW.lock(); // rank 10 under rank 90: inversion
-        })
-        .unwrap_or_default();
-        assert!(msg.contains("lock-order violation"), "{msg}");
-        assert!(msg.contains("`test.low` (rank 10)"), "inverting site named: {msg}");
-        assert!(msg.contains("`test.high` (rank 90)"), "holding site named: {msg}");
-        assert!(msg.contains("sync.rs"), "both source sites carry file:line: {msg}");
-        assert!(sanitizer_violations() >= 1);
+        let cases: [(fn(), &str, &str); 4] = [
+            (|| drop((FIRST.lock(), SECOND.lock())), "test.first", "test.second"),
+            (|| drop((SECOND.lock(), FIRST.lock())), "test.second", "test.first"),
+            (|| drop((FIRST.lock(), SHARED.read())), "test.first", "test.shared"),
+            (|| drop((SHARED.write(), FIRST.lock())), "test.shared", "test.first"),
+        ];
+        for (nest, outer, inner) in cases {
+            let before = sanitizer_violations();
+            let msg = panic_message_of(nest).unwrap_or_default();
+            assert!(msg.contains("nested lock"), "{msg}");
+            assert!(msg.contains(&format!("acquiring `{inner}` at ")), "inner site named: {msg}");
+            assert!(msg.contains(&format!("holding `{outer}` acquired at ")), "outer named: {msg}");
+            assert_eq!(msg.matches("sync.rs:").count(), 2, "both sites carry file:line: {msg}");
+            assert!(sanitizer_violations() > before);
+        }
     }
 
     #[test]
-    fn reentrant_same_rank_is_rejected() {
+    fn reentrant_acquisition_panics() {
         let msg = panic_message_of(|| {
-            let _a = MID.read();
-            let _b = MID.read(); // equal rank: a queued writer would deadlock this
+            let _a = SHARED.read();
+            let _b = SHARED.read(); // a queued writer would deadlock this
         })
         .unwrap_or_default();
-        assert!(msg.contains("lock-order violation"), "{msg}");
-        assert!(msg.contains("rank 50"), "{msg}");
+        assert!(msg.contains("acquiring `test.shared`"), "{msg}");
+        assert!(msg.contains("holding `test.shared`"), "{msg}");
     }
 
     #[test]
-    fn write_under_lower_rank_passes_and_guards_deref() {
-        let low = OrderedMutex::new(vec![1u8], 10, "test.local.low");
-        let high = OrderedRwLock::new(7u32, 90, "test.local.high");
-        let mut g = low.lock();
-        g.push(2);
-        assert_eq!(*high.read(), 7);
-        *high.write() = 8;
-        drop(g);
-        assert_eq!(low.into_inner(), vec![1, 2]);
-        assert_eq!(high.into_inner(), 8);
+    fn lock_inside_passes_but_a_third_lock_panics() {
+        let outer = LeafMutex::new(1u8, "test.outer");
+        let inner = LeafMutex::new(2u8, "test.inner");
+        {
+            let o = outer.lock();
+            let i = inner.lock_inside(&o);
+            assert_eq!((*o, *i), (1, 2));
+        }
+        // Dropping the inner guard left the outer one held; dropping that
+        // emptied the slot, so a fresh lock is clean.
+        assert_eq!(*inner.lock(), 2);
+        let msg = panic_message_of(|| {
+            let outer = LeafMutex::new((), "test.outer");
+            let inner = LeafMutex::new((), "test.inner");
+            let o = outer.lock();
+            let _i = inner.lock_inside(&o);
+            let _third = FIRST.lock();
+        })
+        .unwrap_or_default();
+        assert!(msg.contains("acquiring `test.first`"), "{msg}");
+        assert!(msg.contains("holding `test.outer`"), "{msg}");
+    }
+
+    #[test]
+    fn lock_inside_a_guard_the_thread_does_not_hold_panics() {
+        let msg = panic_message_of(|| {
+            let outer = LeafMutex::new((), "test.outer");
+            let inner = LeafMutex::new((), "test.inner");
+            let other = LeafMutex::new((), "test.other");
+            let o = outer.lock();
+            let i = inner.lock_inside(&o);
+            // `i` is not the thread's held lock: `o` is.
+            let _nested = other.lock_inside(&i);
+        })
+        .unwrap_or_default();
+        assert!(msg.contains("acquiring `test.other`"), "{msg}");
+        assert!(msg.contains("does not hold (it holds test.outer)"), "{msg}");
     }
 
     #[test]
     fn get_mut_and_debug_do_not_track() {
-        let mut m = OrderedMutex::new(1u8, 10, "test.gm");
+        let mut m = LeafMutex::new(1u8, "test.gm");
+        let _held = FIRST.lock();
         *m.get_mut() = 2;
         assert!(format!("{m:?}").contains("test.gm"));
-        let mut l = OrderedRwLock::new(1u8, 20, "test.gr");
+        let mut l = LeafRwLock::new(1u8, "test.gr");
         *l.get_mut() = 3;
         assert!(format!("{l:?}").contains("test.gr"));
         assert_eq!((m.into_inner(), l.into_inner()), (2, 3));
@@ -597,38 +532,6 @@ mod tests {
     #[test]
     fn sanitizer_is_active_in_test_builds() {
         assert!(sanitizer_enabled(), "tests must run with the sanitizer on");
-    }
-
-    #[test]
-    fn ranks_are_unique_and_ascending() {
-        let ranks = [
-            rank::ORGANIZE_KAYAK,
-            rank::QUERY_FAULT,
-            rank::SERVER_WAL_FILE,
-            rank::SERVER_WAL_QUEUE,
-            rank::SERVER_WAL_MARK,
-            rank::SERVER_TENANTS,
-            rank::CORE_BREAKER,
-            rank::CORE_QUOTA,
-            rank::QUERY_RETRY_STATS,
-            rank::HOUSE_RETRY_STATS,
-            rank::STORE_PLACEMENTS,
-            rank::STORE_RETRY_STATS,
-            rank::STORE_FAULT,
-            rank::STORE_RELATIONAL,
-            rank::STORE_DOCUMENT,
-            rank::STORE_GRAPH,
-            rank::STORE_OBJECT,
-            rank::STORE_KV_FAMILIES,
-            rank::STORE_KV_ROWS,
-            rank::OBS_REGISTRY,
-            rank::OBS_TRACE,
-            rank::OBS_EVENTS,
-            rank::CORE_CLOCK,
-        ];
-        for w in ranks.windows(2) {
-            assert!(w[0] < w[1], "rank table must be strictly ascending");
-        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use lake_core::{Json, LakeError, Result};
 use lake_formats::json as jsonfmt;
 use lake_store::durable::checksum_hex;
 use lake_store::object::ObjectStore;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -209,7 +209,7 @@ pub struct TxnLog<'a> {
     pub checkpoint_every: u64,
     policy: RetryPolicy,
     clock: Arc<dyn Clock>,
-    stats: OrderedMutex<RetryStats>,
+    stats: LeafMutex<RetryStats>,
     obs: Option<HouseMetrics>,
 }
 
@@ -222,11 +222,7 @@ impl<'a> TxnLog<'a> {
             checkpoint_every: 10,
             policy: RetryPolicy::default(),
             clock: Arc::new(SystemClock),
-            stats: OrderedMutex::new(
-                RetryStats::default(),
-                rank::HOUSE_RETRY_STATS,
-                "house.log.retry_stats",
-            ),
+            stats: LeafMutex::new(RetryStats::default(), "house.log.retry_stats"),
             obs: None,
         }
     }

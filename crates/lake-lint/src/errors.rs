@@ -249,7 +249,7 @@ fn stringly_error(sig: &str) -> Option<&'static str> {
 /// line numbers). Char literals matter twice over: `'"'` would otherwise
 /// open a phantom string that swallows real code, and `'{'` / `'}'`
 /// would corrupt the brace-depth tracking every pass builds on.
-pub(crate) fn strip_comments_and_strings(src: &str) -> String {
+pub fn strip_comments_and_strings(src: &str) -> String {
     let chars: Vec<char> = src.chars().collect();
     let mut out = String::with_capacity(src.len());
     let mut i = 0;

@@ -19,10 +19,9 @@
 //! 5. **Float ordering** ([`float`]): `partial_cmp` results must not be
 //!    unwrapped (or `unwrap_or`-defaulted) — score comparators sort with
 //!    `f64::total_cmp`, which cannot panic on NaN and keeps sorts total.
-//! 6. **Lock ordering** ([`concurrency`]): nested `OrderedMutex`/
-//!    `OrderedRwLock` acquisitions must follow the declared global order
-//!    in `lake_core::sync::rank` with strictly increasing ranks; raw
-//!    locks are implicit leaves.
+//! 6. **Nested lock** ([`concurrency`]): every lock is a leaf — nothing
+//!    is acquired while a guard is live, directly or through a uniquely
+//!    named callee. The one declared pair uses `LeafMutex::lock_inside`.
 //! 7. **Guard across blocking** ([`concurrency`]): no lock guard may be
 //!    held across `ObjectStore` calls, `retry_with_stats`, channel
 //!    send/recv, or `lake_core::par` fan-outs.
@@ -71,8 +70,8 @@ pub enum Rule {
     Layering,
     /// `partial_cmp` result forced open instead of handled as an `Option`.
     FloatOrdering,
-    /// Nested lock acquisition violating the declared global rank order.
-    LockOrder,
+    /// Lock acquired while a guard is live.
+    NestedLock,
     /// Lock guard held across a blocking call (I/O, retry, channel, fan-out).
     GuardBlocking,
     /// `Ordering::Relaxed` outside declared counter atomics, unjustified.
@@ -88,7 +87,7 @@ impl Rule {
             Rule::ErrorDiscipline => "error-discipline",
             Rule::Layering => "layering",
             Rule::FloatOrdering => "float-ordering",
-            Rule::LockOrder => "lock-order",
+            Rule::NestedLock => "nested-lock",
             Rule::GuardBlocking => "guard-blocking",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::Durability => "durability",

@@ -64,14 +64,12 @@ fn analyze_fixture(name: &str) -> Vec<lake_lint::Finding> {
 }
 
 #[test]
-fn lock_cycle_fixture_inverts_and_cycles() {
-    let findings = analyze_fixture("lock_cycle.rs");
-    assert!(findings.iter().all(|f| f.rule == Rule::LockOrder), "{findings:#?}");
-    assert_eq!(findings.len(), 3, "{findings:#?}");
-    let inversions =
-        findings.iter().filter(|f| f.message.contains("inversion")).count();
-    let cycles = findings.iter().filter(|f| f.message.contains("cycle")).count();
-    assert_eq!((inversions, cycles), (1, 2), "{findings:#?}");
+fn nested_lock_fixture_flags_nesting_only() {
+    let findings = analyze_fixture("nested_lock.rs");
+    assert!(findings.iter().all(|f| f.rule == Rule::NestedLock), "{findings:#?}");
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [15, 22], "direct nesting and nesting via `bump_a`: {findings:#?}");
+    assert!(findings[1].message.contains("`bump_a` acquires `a`"), "{findings:#?}");
 }
 
 #[test]
@@ -152,7 +150,7 @@ fn workspace_has_no_float_ordering_violations() {
 }
 
 /// The concurrency rules launch at zero debt and must stay there: no
-/// lock-order inversion, no guard held across blocking, and no stray
+/// nested lock, no guard held across blocking, and no stray
 /// `Ordering::Relaxed` anywhere in the workspace.
 #[test]
 fn workspace_has_no_concurrency_violations() {
@@ -161,10 +159,68 @@ fn workspace_has_no_concurrency_violations() {
     let conc: Vec<_> = findings
         .iter()
         .filter(|f| {
-            matches!(f.rule, Rule::LockOrder | Rule::GuardBlocking | Rule::AtomicOrdering)
+            matches!(f.rule, Rule::NestedLock | Rule::GuardBlocking | Rule::AtomicOrdering)
         })
         .collect();
     assert!(conc.is_empty(), "{conc:#?}");
+}
+
+/// `LeafMutex::lock_inside` is the one declared nested pair (DESIGN.md
+/// §13): library code calls it exactly once, in the WAL's flush leader,
+/// so a second nested pair cannot land without an edit here.
+#[test]
+fn the_declared_nested_pair_has_one_call_site() {
+    let root = workspace_root();
+    let mut sources = Vec::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
+        rust_sources(&entry.expect("dir entry").path().join("src"), &mut sources);
+    }
+    let mut sites = Vec::new();
+    for path in sources {
+        let src = std::fs::read_to_string(&path).expect("source reads");
+        let code = without_test_items(&lake_lint::errors::strip_comments_and_strings(&src));
+        let rel = path.strip_prefix(&root).expect("under the root").to_path_buf();
+        sites.extend(code.matches(".lock_inside(").map(|_| rel.clone()));
+    }
+    assert_eq!(sites, [Path::new("crates/lake-server/src/wal.rs")], "{sites:#?}");
+}
+
+/// Every `.rs` file under `dir`, recursively (nothing if `dir` is absent).
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for path in entries.map(|e| e.expect("dir entry").path()) {
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `code` without its `#[cfg(test)]` items, each cut through its
+/// matching `}` (or its `;`). Expects comments and strings stripped.
+fn without_test_items(code: &str) -> String {
+    let mut out = String::new();
+    let mut rest = code;
+    while let Some(at) = rest.find("#[cfg(test)]") {
+        out.push_str(&rest[..at]);
+        rest = &rest[at..];
+        let mut depth = 0usize;
+        let end = rest.char_indices().find_map(|(i, c)| {
+            match c {
+                '{' => depth += 1,
+                '}' => {
+                    depth -= 1;
+                    return (depth == 0).then_some(i + 1);
+                }
+                ';' if depth == 0 => return Some(i + 1),
+                _ => {}
+            }
+            None
+        });
+        rest = &rest[end.unwrap_or(rest.len())..];
+    }
+    out + rest
 }
 
 /// The WAL shipped with its fsync discipline intact: the durability

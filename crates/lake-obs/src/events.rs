@@ -3,7 +3,7 @@
 //! long-running lake never grows without bound.
 
 use lake_core::retry::Clock;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ pub struct Event {
 
 struct EventLogInner {
     clock: Arc<dyn Clock>,
-    ring: OrderedMutex<std::collections::VecDeque<Event>>,
+    ring: LeafMutex<std::collections::VecDeque<Event>>,
     capacity: usize,
     seq: AtomicU64,
     dropped: AtomicU64,
@@ -85,9 +85,8 @@ impl EventLog {
         EventLog {
             inner: Arc::new(EventLogInner {
                 clock,
-                ring: OrderedMutex::new(
+                ring: LeafMutex::new(
                     std::collections::VecDeque::with_capacity(capacity),
-                    rank::OBS_EVENTS,
                     "obs.events.ring",
                 ),
                 capacity,

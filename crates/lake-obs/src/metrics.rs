@@ -12,7 +12,7 @@
 //! Latency histograms record **microseconds** and carry a `scale` of
 //! `1e-6`, so exporters render seconds while the hot path stays integer.
 
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -239,7 +239,7 @@ enum Metric {
 /// code-review smell, not a runtime hazard.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    metrics: OrderedRwLock<BTreeMap<MetricId, Metric>>,
+    metrics: LeafRwLock<BTreeMap<MetricId, Metric>>,
 }
 
 impl Default for MetricsRegistry {
@@ -252,7 +252,7 @@ impl MetricsRegistry {
     /// A fresh, empty registry.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry {
-            metrics: OrderedRwLock::new(BTreeMap::new(), rank::OBS_REGISTRY, "obs.metrics.registry"),
+            metrics: LeafRwLock::new(BTreeMap::new(), "obs.metrics.registry"),
         }
     }
 

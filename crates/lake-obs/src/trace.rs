@@ -7,7 +7,7 @@
 //! virtual time by 42 µs sees a span of exactly 42 µs.
 
 use lake_core::retry::Clock;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ struct TracerInner {
     clock: Arc<dyn Clock>,
     next_id: AtomicU64,
     /// Ring buffer of finished spans; oldest evicted first.
-    finished: OrderedMutex<std::collections::VecDeque<SpanRecord>>,
+    finished: LeafMutex<std::collections::VecDeque<SpanRecord>>,
     capacity: usize,
     dropped: AtomicU64,
 }
@@ -76,9 +76,8 @@ impl Tracer {
             inner: Arc::new(TracerInner {
                 clock,
                 next_id: AtomicU64::new(1),
-                finished: OrderedMutex::new(
+                finished: LeafMutex::new(
                     std::collections::VecDeque::with_capacity(capacity),
-                    rank::OBS_TRACE,
                     "obs.trace.finished",
                 ),
                 capacity,

@@ -16,7 +16,7 @@
 //! experiment E5 measures the speedup. [`Pipeline`] is the primitive-level DAG.
 
 use crate::DagDescription;
-use lake_core::sync::{self, rank, OrderedMutex};
+use lake_core::sync::{self, LeafMutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -137,11 +137,7 @@ impl TaskGraph {
                 let _ = ready_tx.send(Some(t));
             }
         }
-        let completed = Arc::new(OrderedMutex::new(
-            Vec::with_capacity(n),
-            rank::ORGANIZE_KAYAK,
-            "organize.kayak.completed",
-        ));
+        let completed = Arc::new(LeafMutex::new(Vec::with_capacity(n), "organize.kayak.completed"));
         let done = Arc::new(AtomicUsize::new(0));
 
         std::thread::scope(|scope| {
@@ -172,7 +168,7 @@ impl TaskGraph {
             drop(ready_tx);
         });
         let order = Arc::try_unwrap(completed)
-            .map(OrderedMutex::into_inner)
+            .map(LeafMutex::into_inner)
             .unwrap_or_else(|arc| arc.lock().clone());
         Ok(order)
     }

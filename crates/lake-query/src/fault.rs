@@ -20,7 +20,7 @@ use lake_core::{LakeError, Result};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 
 #[derive(Debug, Clone, Default)]
 struct LocationPlan {
@@ -75,7 +75,7 @@ struct State {
 pub struct FaultSource {
     seed: u64,
     plans: BTreeMap<String, LocationPlan>,
-    state: OrderedMutex<State>,
+    state: LeafMutex<State>,
 }
 
 impl Default for FaultSource {
@@ -90,7 +90,7 @@ impl FaultSource {
         FaultSource {
             seed: 0,
             plans: BTreeMap::new(),
-            state: OrderedMutex::new(State::default(), rank::QUERY_FAULT, "query.fault.state"),
+            state: LeafMutex::new(State::default(), "query.fault.state"),
         }
     }
 

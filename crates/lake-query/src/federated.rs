@@ -39,7 +39,7 @@ use lake_formats::columnar::ColumnarFile;
 use lake_store::predicate::{self, Predicate};
 use lake_store::{Polystore, StoreKind};
 use std::collections::BTreeMap;
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 use std::sync::Arc;
 
 /// Pre-registered `lake_query_*` handles plus the registry itself (for
@@ -132,7 +132,7 @@ pub struct FederatedEngine<'a> {
     degradation: Option<DegradationConfig>,
     breakers: CircuitBreaker,
     faults: Option<FaultSource>,
-    retry_stats: OrderedMutex<RetryStats>,
+    retry_stats: LeafMutex<RetryStats>,
 }
 
 impl<'a> FederatedEngine<'a> {
@@ -146,11 +146,7 @@ impl<'a> FederatedEngine<'a> {
             degradation: None,
             breakers: CircuitBreaker::new(),
             faults: None,
-            retry_stats: OrderedMutex::new(
-                RetryStats::default(),
-                rank::QUERY_RETRY_STATS,
-                "query.federated.retry_stats",
-            ),
+            retry_stats: LeafMutex::new(RetryStats::default(), "query.federated.retry_stats"),
         }
     }
 

@@ -19,8 +19,7 @@ use lake_core::degrade::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, QuotaConfig, QuotaDecision,
     QuotaLedger, QuotaUsage,
 };
-use lake_core::sync::rank;
-use lake_core::{DatasetId, LakeError, OrderedMutex, Result};
+use lake_core::{DatasetId, LakeError, LeafMutex, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -44,7 +43,7 @@ pub struct Tenants {
     ledger: QuotaLedger,
     breaker: CircuitBreaker,
     breaker_cfg: BreakerConfig,
-    names: OrderedMutex<BTreeMap<String, BTreeMap<String, DatasetId>>>,
+    names: LeafMutex<BTreeMap<String, BTreeMap<String, DatasetId>>>,
     next_id: AtomicU64,
 }
 
@@ -58,7 +57,7 @@ impl Tenants {
             ledger: QuotaLedger::new(),
             breaker: CircuitBreaker::new(),
             breaker_cfg,
-            names: OrderedMutex::new(BTreeMap::new(), rank::SERVER_TENANTS, "server.tenants.names"),
+            names: LeafMutex::new(BTreeMap::new(), "server.tenants.names"),
             next_id: AtomicU64::new(1),
         }
     }

@@ -8,9 +8,9 @@
 //!   [`lake_store::durable`] discipline, byte-compatible with the
 //!   lakehouse `TxnLog` checksum family) holding one [`WalRecord`] each,
 //!   appended under **group commit**: concurrent writers enqueue encoded
-//!   frames, one leader drains a batch of them (at most two per worker
-//!   of [`lake_core::Parallelism`], the same knob as the worker pool)
-//!   and pays a single `sync_data` for the whole batch;
+//!   frames, one leader drains every pending frame and pays a single
+//!   `sync_data` for the whole batch. Each pending frame belongs to a
+//!   writer blocked in [`Wal::append`], so the writers bound the batch;
 //! * **recovery** — [`Wal::open`] truncates a torn tail (quarantining the
 //!   damaged bytes under `_wal/quarantine/`), loads the checksummed
 //!   snapshot if one exists, and hands back the suffix of records the
@@ -31,17 +31,15 @@
 //! a write is readable after restart **iff** its frame hit the journal
 //! intact.
 //!
-//! Lock ranks: the flush leader nests `SERVER_WAL_FILE` (21) →
-//! `SERVER_WAL_QUEUE` (22), strictly ascending; the watermark
-//! (`SERVER_WAL_MARK`, 23) is only ever taken alone. No lock is held
-//! across a polystore call.
+//! Locks: every lock here is a leaf except one declared pair — the flush
+//! leader takes `queue` inside `file` ([`LeafMutex::lock_inside`]). The
+//! queue is otherwise only taken alone and nothing is taken under it, so
+//! the pair cannot deadlock. The watermark is only ever taken alone. No
+//! lock is held across a polystore call.
 
 use crate::protocol::dataset_from_body;
 use crate::tenant::Tenants;
-use lake_core::sync::rank;
-use lake_core::{
-    CrashPoint, CrashSwitch, Dataset, Json, LakeError, OrderedMutex, Parallelism, Result,
-};
+use lake_core::{CrashPoint, CrashSwitch, Dataset, Json, LakeError, LeafMutex, Result};
 use lake_obs::metrics::{Counter, Gauge};
 use lake_obs::MetricsRegistry;
 use lake_store::durable::{append_sync, atomic_write_sync, checksum_hex, encode_frame, scan_frames};
@@ -264,13 +262,10 @@ struct Watermark {
 /// group-commit design.
 pub struct Wal {
     cfg: WalConfig,
-    /// Max frames one group-commit leader drains per fsync: two per
-    /// worker of the pool (`RUSTLAKE_WORKERS`).
-    group_cap: usize,
     crash: Arc<CrashSwitch>,
-    queue: OrderedMutex<WalQueue>,
-    file: OrderedMutex<File>,
-    mark: OrderedMutex<Watermark>,
+    queue: LeafMutex<WalQueue>,
+    file: LeafMutex<File>,
+    mark: LeafMutex<Watermark>,
     /// Highest seq whose frame has been fsynced.
     durable_seq: AtomicU64,
     /// Frames physically in the journal (drives rotation).
@@ -396,17 +391,11 @@ impl Wal {
         let depth_gauge = registry.gauge("lake_server_wal_depth");
         depth_gauge.set(i64::try_from(frames).unwrap_or(i64::MAX));
         let wal = Wal {
-            group_cap: Parallelism::auto().workers().max(1) * 2,
             crash,
-            queue: OrderedMutex::new(
-                WalQueue { next_seq, pending: Vec::new() },
-                rank::SERVER_WAL_QUEUE,
-                "server.wal.queue",
-            ),
-            file: OrderedMutex::new(file, rank::SERVER_WAL_FILE, "server.wal.file"),
-            mark: OrderedMutex::new(
+            queue: LeafMutex::new(WalQueue { next_seq, pending: Vec::new() }, "server.wal.queue"),
+            file: LeafMutex::new(file, "server.wal.file"),
+            mark: LeafMutex::new(
                 Watermark { next: next_seq, pending: BTreeSet::new() },
-                rank::SERVER_WAL_MARK,
                 "server.wal.mark",
             ),
             durable_seq: AtomicU64::new(next_seq - 1),
@@ -436,16 +425,20 @@ impl Wal {
     /// commit: the fsync may cover other writers' frames too). The seq it
     /// returns orders this write against every other journaled mutation.
     pub fn append(&self, op: WalOp, tenant: &str, name: &str, kind: &str, body: &Json) -> Result<u64> {
-        let seq = {
-            let mut q = self.queue.lock();
-            let seq = q.next_seq;
-            let payload = record_json(seq, op, tenant, name, kind, body).to_string();
-            let frame = encode_frame(payload.as_bytes())?;
-            q.next_seq += 1;
-            q.pending.push((seq, frame));
-            seq
-        };
+        let seq = self.enqueue(op, tenant, name, kind, body)?;
         self.flush_to(seq)?;
+        Ok(seq)
+    }
+
+    /// Assign the next seq to one mutation and queue its frame for the
+    /// next group-commit leader.
+    fn enqueue(&self, op: WalOp, tenant: &str, name: &str, kind: &str, body: &Json) -> Result<u64> {
+        let mut q = self.queue.lock();
+        let seq = q.next_seq;
+        let payload = record_json(seq, op, tenant, name, kind, body).to_string();
+        let frame = encode_frame(payload.as_bytes())?;
+        q.next_seq += 1;
+        q.pending.push((seq, frame));
         Ok(seq)
     }
 
@@ -460,11 +453,7 @@ impl Wal {
             if self.durable_seq.load(Ordering::Acquire) >= seq {
                 return Ok(());
             }
-            let batch: Vec<(u64, Vec<u8>)> = {
-                let mut q = self.queue.lock();
-                let take = q.pending.len().min(self.group_cap);
-                q.pending.drain(..take).collect()
-            };
+            let batch = std::mem::take(&mut self.queue.lock_inside(&file).pending);
             // The queue cannot be empty here: a frame leaves `pending`
             // only under the file lock, and `durable_seq` advances past
             // it before that lock is released.
@@ -896,6 +885,37 @@ mod tests {
         assert!(!rec.report.snapshot_loaded);
         assert_eq!(rec.report.snapshot_seq, 0);
         assert!(Wal::quarantine_dir(&cfg).join("snapshot.corrupt").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A leader drains every pending frame in one fsync, however many
+    /// writers queued them: the batch is bounded by the writers blocked in
+    /// `append`, not by a cap derived from the core count.
+    #[test]
+    fn one_leader_flushes_every_pending_frame_in_one_fsync() {
+        let dir = temp_dir("drain");
+        let registry = MetricsRegistry::new();
+        let wal = Wal::open(WalConfig::new(&dir), Arc::new(CrashSwitch::disabled()), &registry)
+            .unwrap()
+            .0;
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let frames = 4 * cores + 1;
+        let mut last = 0;
+        for i in 0..frames {
+            let (op, tn, n, k, b) = put_record(&format!("d{i}"), "v");
+            last = wal.enqueue(op, &tn, &n, &k, &b).unwrap();
+        }
+        let batches = || {
+            registry.snapshot().counter_value("lake_server_wal_fsync_batches_total")
+        };
+        let before = batches();
+        wal.flush_to(last).unwrap();
+        assert_eq!(batches(), before + 1);
+        assert_eq!(wal.durable_seq(), last);
+        assert_eq!(wal.depth(), frames as u64);
+        drop(wal);
+        let (_wal, rec) = open(&dir);
+        assert_eq!(rec.records.len(), frames);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

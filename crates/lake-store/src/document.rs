@@ -9,14 +9,14 @@
 
 use crate::predicate::{self, Predicate};
 use lake_core::{Json, LakeError, Result};
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A collection-organized document store.
 #[derive(Debug)]
 pub struct DocumentStore {
-    collections: OrderedRwLock<BTreeMap<String, Vec<Json>>>,
+    collections: LeafRwLock<BTreeMap<String, Vec<Json>>>,
     docs_scanned: AtomicU64,
 }
 
@@ -30,11 +30,7 @@ impl DocumentStore {
     /// An empty store.
     pub fn new() -> DocumentStore {
         DocumentStore {
-            collections: OrderedRwLock::new(
-                BTreeMap::new(),
-                rank::STORE_DOCUMENT,
-                "store.document.collections",
-            ),
+            collections: LeafRwLock::new(BTreeMap::new(), "store.document.collections"),
             docs_scanned: AtomicU64::new(0),
         }
     }

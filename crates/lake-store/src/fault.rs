@@ -28,7 +28,7 @@
 
 use crate::object::ObjectStore;
 use lake_core::{LakeError, Result};
-use lake_core::sync::{rank, OrderedMutex};
+use lake_core::sync::LeafMutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -294,7 +294,7 @@ impl State {
 /// the one-winner guarantee is never weakened.
 pub struct FaultStore<S: ObjectStore> {
     inner: S,
-    state: OrderedMutex<State>,
+    state: LeafMutex<State>,
 }
 
 impl<S: ObjectStore> FaultStore<S> {
@@ -303,7 +303,7 @@ impl<S: ObjectStore> FaultStore<S> {
         let rng = StdRng::seed_from_u64(plan.seed);
         FaultStore {
             inner,
-            state: OrderedMutex::new(
+            state: LeafMutex::new(
                 State {
                     plan,
                     counters: BTreeMap::new(),
@@ -311,7 +311,6 @@ impl<S: ObjectStore> FaultStore<S> {
                     dead: false,
                     stats: FaultStats::default(),
                 },
-                rank::STORE_FAULT,
                 "store.fault.state",
             ),
         }

@@ -7,7 +7,7 @@
 //! that triple patterns match against.
 
 use lake_core::{LakeError, NodeId, PropertyGraph, Result, Value};
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 
 /// An RDF-ish triple derived from the property graph.
@@ -68,7 +68,7 @@ pub struct TriplePattern {
 /// A named-graph store over [`PropertyGraph`]s.
 #[derive(Debug)]
 pub struct GraphStore {
-    graphs: OrderedRwLock<BTreeMap<String, PropertyGraph>>,
+    graphs: LeafRwLock<BTreeMap<String, PropertyGraph>>,
 }
 
 impl Default for GraphStore {
@@ -81,7 +81,7 @@ impl GraphStore {
     /// An empty store.
     pub fn new() -> GraphStore {
         GraphStore {
-            graphs: OrderedRwLock::new(BTreeMap::new(), rank::STORE_GRAPH, "store.graph.graphs"),
+            graphs: LeafRwLock::new(BTreeMap::new(), "store.graph.graphs"),
         }
     }
 

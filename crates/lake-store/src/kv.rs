@@ -6,7 +6,7 @@
 //! sorted row scans, and prefix scans.
 
 use lake_core::{LakeError, Result, Value};
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 
 type Row = BTreeMap<(String, String), Value>; // (family, column) → value
@@ -14,8 +14,8 @@ type Row = BTreeMap<(String, String), Value>; // (family, column) → value
 /// A sorted multi-family key-value store.
 #[derive(Debug)]
 pub struct KvStore {
-    rows: OrderedRwLock<BTreeMap<String, Row>>,
-    families: OrderedRwLock<Vec<String>>,
+    rows: LeafRwLock<BTreeMap<String, Row>>,
+    families: LeafRwLock<Vec<String>>,
 }
 
 impl Default for KvStore {
@@ -28,10 +28,9 @@ impl KvStore {
     /// A new store with the given column families.
     pub fn with_families(families: &[&str]) -> KvStore {
         KvStore {
-            rows: OrderedRwLock::new(BTreeMap::new(), rank::STORE_KV_ROWS, "store.kv.rows"),
-            families: OrderedRwLock::new(
+            rows: LeafRwLock::new(BTreeMap::new(), "store.kv.rows"),
+            families: LeafRwLock::new(
                 families.iter().map(|s| s.to_string()).collect(),
-                rank::STORE_KV_FAMILIES,
                 "store.kv.families",
             ),
         }

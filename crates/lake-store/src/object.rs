@@ -27,7 +27,7 @@
 //!   success for a call whose caller saw an error.
 
 use lake_core::{LakeError, Result};
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,7 +97,7 @@ impl<S: ObjectStore + ?Sized> ObjectStore for Arc<S> {
 /// In-memory object store; the default for tests and benchmarks.
 #[derive(Debug)]
 pub struct MemoryStore {
-    blobs: OrderedRwLock<BTreeMap<String, Vec<u8>>>,
+    blobs: LeafRwLock<BTreeMap<String, Vec<u8>>>,
 }
 
 impl Default for MemoryStore {
@@ -110,7 +110,7 @@ impl MemoryStore {
     /// A fresh, empty store.
     pub fn new() -> MemoryStore {
         MemoryStore {
-            blobs: OrderedRwLock::new(BTreeMap::new(), rank::STORE_OBJECT, "store.object.blobs"),
+            blobs: LeafRwLock::new(BTreeMap::new(), "store.object.blobs"),
         }
     }
 

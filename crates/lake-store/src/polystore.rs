@@ -12,7 +12,7 @@ use crate::graphstore::GraphStore;
 use crate::object::{MemoryStore, ObjectStore};
 use crate::relational::RelationalStore;
 use lake_core::retry::{retry_with_stats, Clock, RetryPolicy, RetryStats, SystemClock};
-use lake_core::sync::{rank, OrderedMutex, OrderedRwLock};
+use lake_core::sync::{LeafMutex, LeafRwLock};
 use lake_core::{Dataset, DatasetId, DatasetKind, Json, LakeError, PropertyGraph, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -73,10 +73,10 @@ pub struct Polystore {
     /// default for a local directory (or a fault-injecting decorator in
     /// chaos tests).
     pub files: Box<dyn ObjectStore>,
-    placements: OrderedRwLock<BTreeMap<DatasetId, Placement>>,
+    placements: LeafRwLock<BTreeMap<DatasetId, Placement>>,
     retry: RetryPolicy,
     clock: Arc<dyn Clock>,
-    stats: OrderedMutex<RetryStats>,
+    stats: LeafMutex<RetryStats>,
 }
 
 impl Default for Polystore {
@@ -98,18 +98,10 @@ impl Polystore {
             documents: DocumentStore::new(),
             graphs: GraphStore::new(),
             files,
-            placements: OrderedRwLock::new(
-                BTreeMap::new(),
-                rank::STORE_PLACEMENTS,
-                "store.polystore.placements",
-            ),
+            placements: LeafRwLock::new(BTreeMap::new(), "store.polystore.placements"),
             retry: RetryPolicy::default(),
             clock: Arc::new(SystemClock),
-            stats: OrderedMutex::new(
-                RetryStats::default(),
-                rank::STORE_RETRY_STATS,
-                "store.polystore.stats",
-            ),
+            stats: LeafMutex::new(RetryStats::default(), "store.polystore.stats"),
         }
     }
 
@@ -358,33 +350,6 @@ mod tests {
         let stats = ps.retry_stats();
         assert_eq!(stats.retries, 2, "one put and one get transient absorbed");
         assert_eq!(stats.gave_up, 0);
-    }
-
-    #[test]
-    fn store_locks_rank_inside_every_tier_lock() {
-        use crate::fault::{FaultPlan, FaultStore, Op};
-        use lake_core::sync::sanitizer_violations;
-        use lake_core::{ManualClock, OrderedMutex, RetryPolicy};
-
-        // A tier may call into a store under its innermost tier lock; every
-        // substrate lock, and the retry clock below them, must rank inside it.
-        let tier = OrderedMutex::new((), lake_core::sync::rank::HOUSE_RETRY_STATS, "test.tier");
-        let faulty = FaultStore::new(MemoryStore::new(), FaultPlan::new().fail_next(Op::Get, 1));
-        let ps = Polystore::with_file_store(Box::new(faulty))
-            .with_retry(RetryPolicy::new(3))
-            .with_clock(Arc::new(ManualClock::new()));
-        let before = sanitizer_violations();
-        let _held = tier.lock();
-        ps.store(DatasetId(1), "tab", Dataset::Table(table())).unwrap();
-        ps.store(DatasetId(2), "docs", Dataset::Documents(vec![Json::Num(1.0)])).unwrap();
-        ps.store(DatasetId(3), "g", Dataset::Graph(graph_of(&[("a", "r", "b")]))).unwrap();
-        ps.store(DatasetId(4), "l", Dataset::Log(vec!["x".into()])).unwrap();
-        for id in 1..=4u64 {
-            ps.retrieve(DatasetId(id)).unwrap();
-        }
-        assert_eq!(ps.retry_stats().retries, 1);
-        assert_eq!(ps.placement_summary().len(), 4);
-        assert_eq!(sanitizer_violations(), before);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 
 use crate::predicate::{self, Predicate};
 use lake_core::{LakeError, Result, Row, Table};
-use lake_core::sync::{rank, OrderedRwLock};
+use lake_core::sync::LeafRwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named-table relational store with predicate scans.
 #[derive(Debug)]
 pub struct RelationalStore {
-    tables: OrderedRwLock<BTreeMap<String, Table>>,
+    tables: LeafRwLock<BTreeMap<String, Table>>,
     rows_scanned: AtomicU64,
 }
 
@@ -30,11 +30,7 @@ impl RelationalStore {
     /// An empty store.
     pub fn new() -> RelationalStore {
         RelationalStore {
-            tables: OrderedRwLock::new(
-                BTreeMap::new(),
-                rank::STORE_RELATIONAL,
-                "store.relational.tables",
-            ),
+            tables: LeafRwLock::new(BTreeMap::new(), "store.relational.tables"),
             rows_scanned: AtomicU64::new(0),
         }
     }

@@ -432,14 +432,21 @@ mod tests {
     }
 
     #[test]
-    fn sequential_acquisitions_are_clean_and_guards_deref() {
-        let local = LeafMutex::new(vec![1u8], "test.local.vec");
-        local.lock().push(2);
+    fn sequential_acquisitions_are_clean() {
         let first = FIRST.lock();
         assert_eq!(*first, 0);
         drop(first);
         assert_eq!(*SHARED.read(), 0);
+        drop(SHARED.write());
+        assert_eq!(*SECOND.lock(), 0);
+    }
+
+    #[test]
+    fn guards_deref_and_into_inner_returns_the_writes() {
+        let local = LeafMutex::new(vec![1u8], "test.local.vec");
+        local.lock().push(2);
         let rw = LeafRwLock::new(7u32, "test.local.rw");
+        assert_eq!(*rw.read(), 7);
         *rw.write() = 8;
         assert_eq!(*rw.read(), 8);
         assert_eq!((local.into_inner(), rw.into_inner()), (vec![1, 2], 8));
